@@ -1,9 +1,9 @@
 //! Workspace lint driver: `cargo run -p vrcache-analysis --bin lint`.
 //!
 //! Walks every tracked `.rs` source (plus DESIGN.md, the model
-//! checker's transition table, the mutation, injection, hot-path,
-//! protocol-spec, and address-domain baselines, and the latest mutation
-//! and injection reports), runs the eleven lint passes, prints
+//! checker's transition table, the mutation, injection and hot-path
+//! baselines, the protocol spec, and the latest mutation and injection
+//! reports), runs the nine lint passes, prints
 //! `file:line: [lint] message` diagnostics, and exits non-zero if
 //! anything fired. `scripts/check.sh` runs this as part of the
 //! pre-merge gate.
@@ -16,7 +16,7 @@
 //!   output is unchanged by the flag's existence.
 //! * `--list` — print the lint names, one per line, and exit.
 //! * `--only <lint>` — run a single lint by name (iterate on one pass
-//!   without paying for the other ten).
+//!   without paying for the other eight).
 //! * `--write-hotpath-baseline` — re-pin
 //!   `crates/analysis/hotpath_baseline.txt` from today's hot-set scan
 //!   and print the per-crate attribution report. `scripts/check.sh`
@@ -29,18 +29,12 @@
 //!   tier-1 run (`WRITE_PROTOCOL_SPEC=1`).
 //! * `--protocol-report` — print the per-hierarchy transition tables
 //!   without touching the pinned spec.
-//! * `--write-domain-baseline` — re-pin
-//!   `crates/analysis/domain_baseline.txt` from today's address-domain
-//!   analysis and print the flow report. `scripts/check.sh` gates this
-//!   behind a clean tier-1 run (`WRITE_DOMAIN_BASELINE=1`).
-//! * `--domain-report` — print the flagged flows and inferred
-//!   raw-parameter domains without touching the baseline.
 
 use std::path::Path;
 use std::process::ExitCode;
 
-use vrcache_analysis::lints::{domain as domain_lint, hotpath};
-use vrcache_analysis::{domain, protocol, run_all, run_named, walk, Diagnostic, Workspace, LINTS};
+use vrcache_analysis::lints::hotpath;
+use vrcache_analysis::{protocol, run_all, run_named, walk, Diagnostic, Workspace, LINTS};
 
 /// Escapes a string for a JSON string literal (quotes, backslashes,
 /// control characters).
@@ -131,29 +125,6 @@ fn protocol_scan(root: &Path, ws: &Workspace, write: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Runs the address-domain analysis and either writes the pinned
-/// baseline (`write`) or just prints the flow report.
-fn domain_scan(root: &Path, ws: &Workspace, write: bool) -> ExitCode {
-    let analysis = domain::analyze(ws);
-    if !analysis.active {
-        eprintln!("lint: no address newtype seeds this workspace; nothing to analyze");
-        return ExitCode::from(2);
-    }
-    print!("{}", domain_lint::report(&analysis));
-    if write {
-        let path = root.join("crates/analysis/domain_baseline.txt");
-        if let Err(e) = std::fs::write(&path, domain_lint::render_baseline(&analysis)) {
-            eprintln!("lint: failed to write {path:?}: {e}");
-            return ExitCode::from(2);
-        }
-        println!(
-            "lint: pinned {} baseline row(s) to crates/analysis/domain_baseline.txt",
-            analysis.flags.len()
-        );
-    }
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let mut json = false;
     let mut only: Option<String> = None;
@@ -161,8 +132,6 @@ fn main() -> ExitCode {
     let mut hotpath_report = false;
     let mut write_protocol = false;
     let mut protocol_report = false;
-    let mut write_domain = false;
-    let mut domain_report = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -184,14 +153,11 @@ fn main() -> ExitCode {
             "--hotpath-report" => hotpath_report = true,
             "--write-protocol-spec" => write_protocol = true,
             "--protocol-report" => protocol_report = true,
-            "--write-domain-baseline" => write_domain = true,
-            "--domain-report" => domain_report = true,
             other => {
                 eprintln!(
                     "lint: unknown argument `{other}` (usage: lint [--json] [--list] \
                      [--only <lint>] [--hotpath-report] [--write-hotpath-baseline] \
-                     [--protocol-report] [--write-protocol-spec] \
-                     [--domain-report] [--write-domain-baseline])"
+                     [--protocol-report] [--write-protocol-spec])"
                 );
                 return ExitCode::from(2);
             }
@@ -217,9 +183,6 @@ fn main() -> ExitCode {
     }
     if write_protocol || protocol_report {
         return protocol_scan(&root, &ws, write_protocol);
-    }
-    if write_domain || domain_report {
-        return domain_scan(&root, &ws, write_domain);
     }
     let diags = match &only {
         None => run_all(&ws),

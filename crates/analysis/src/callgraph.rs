@@ -53,10 +53,6 @@ pub struct FnNode {
     pub self_ty: Option<String>,
     /// The function's bare name.
     pub name: String,
-    /// The signature text from the `fn` keyword up to (not including)
-    /// the body brace, joined across lines — parameter and return-type
-    /// annotations for the domain analysis.
-    pub sig: String,
     /// Body lines as (1-based line, literal-blanked code). The line
     /// holding the signature is included, so a one-line body is seen.
     pub body: Vec<(usize, String)>,
@@ -264,13 +260,8 @@ pub fn build(ws: &Workspace) -> CallGraph {
 
 /// An item header whose body brace has not been seen yet.
 enum Pending {
-    /// A `fn` item: name, the line of the `fn` keyword, and the
-    /// signature text accumulated until the body brace.
-    Fn {
-        name: String,
-        line: usize,
-        sig: String,
-    },
+    /// A `fn` item: name and the line of the `fn` keyword.
+    Fn { name: String, line: usize },
     /// An `impl`/`trait` header, accumulated until its `{` in case the
     /// header spans lines.
     Block { header: String },
@@ -303,18 +294,10 @@ fn parse_file(rel_path: &str, text: &str, nodes: &mut Vec<FnNode>) {
                     header.push(' ');
                     header.push_str(code);
                 }
-                Some(Pending::Fn { sig, .. }) => {
-                    // Multiline signature: keep accumulating.
-                    sig.push(' ');
-                    sig.push_str(code);
-                }
+                Some(Pending::Fn { .. }) => {} // signature continues; name is known
                 None => {
                     if let Some(name) = fn_decl(code) {
-                        pending = Some(Pending::Fn {
-                            name,
-                            line: l.line,
-                            sig: code.to_string(),
-                        });
+                        pending = Some(Pending::Fn { name, line: l.line });
                     } else if let Some(header) = block_header(code) {
                         pending = Some(Pending::Block { header });
                     }
@@ -328,20 +311,12 @@ fn parse_file(rel_path: &str, text: &str, nodes: &mut Vec<FnNode>) {
             match c {
                 '{' => {
                     match pending.take() {
-                        Some(Pending::Fn { name, line, sig }) => {
-                            // The signature ends at the body brace (the
-                            // blanking scanner guarantees no literal
-                            // braces survive in `sig`).
-                            let sig = match sig.find('{') {
-                                Some(at) => sig[..at].trim_end().to_string(),
-                                None => sig,
-                            };
+                        Some(Pending::Fn { name, line }) => {
                             nodes.push(FnNode {
                                 file: rel_path.to_string(),
                                 line,
                                 self_ty: impl_stack.last().map(|(ty, _)| ty.clone()),
                                 name,
-                                sig,
                                 body: Vec::new(),
                             });
                             let idx = nodes.len() - 1;
@@ -741,11 +716,6 @@ mod tests {
         assert_eq!(g.nodes.len(), 1, "{:?}", g.nodes);
         assert_eq!(g.nodes[0].qual_name(), "VrHierarchy::access");
         assert_eq!(g.nodes[0].line, 4, "line of the fn keyword");
-        let sig = &g.nodes[0].sig;
-        assert!(
-            sig.contains("access: &MemAccess") && sig.trim_end().ends_with("-> u32"),
-            "multiline signature is joined and cut at the body brace: {sig:?}"
-        );
     }
 
     #[test]

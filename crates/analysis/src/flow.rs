@@ -47,6 +47,9 @@ pub enum Ctx {
 }
 
 impl Ctx {
+    /// Every context, in table order.
+    pub const ALL: [Ctx; 3] = [Ctx::Absent, Ctx::Shared, Ctx::Private];
+
     /// The model checker's context label (`coverage.txt` column 2).
     pub fn label(self) -> &'static str {
         match self {

@@ -1,6 +1,6 @@
 //! Static analysis for the vrcache workspace.
 //!
-//! Eleven lints, run by `cargo run -p vrcache-analysis --bin lint`
+//! Nine lints, run by `cargo run -p vrcache-analysis --bin lint`
 //! (`--list` names them, `--only <lint>` runs one in isolation):
 //!
 //! * **determinism** — simulation results must be a pure function of the
@@ -16,12 +16,6 @@
 //!   `.expect(` are forbidden in `crates/core` and `crates/model` library
 //!   code (tests excepted), where broken invariants must surface as typed
 //!   violations, not ad-hoc panics.
-//! * **transition-coverage** — the coherence transitions the model
-//!   checker exercised (`crates/model/coverage.txt`) must agree with the
-//!   `BusOp` match arms of the `fn snoop` implementations in
-//!   `crates/core`: every exercised transition has an arm, every arm is
-//!   exercised (or allowlisted as unreachable by design), and every
-//!   coherence state appears as a snoop context.
 //! * **fault-coverage** — every `FaultKind` variant must be handled, or
 //!   declined with an explicit `=> None` arm, by every `impl FaultPort`
 //!   site's `inject_fault`; wildcard arms are forbidden there, so a new
@@ -51,22 +45,18 @@
 //!   state-after, reply, actions; see the [`protocol`] module) must
 //!   match the pinned `crates/analysis/protocol_spec.txt` byte for byte,
 //!   agree bidirectionally with the model checker's exercised
-//!   transitions in `crates/model/coverage.txt`, and leave no
-//!   undocumented hole in the state×op matrix (dead combinations are
-//!   allowlisted with a reason). Re-pin with `--write-protocol-spec`
-//!   after a clean tier-1 run; `--protocol-report` prints the tables.
-//! * **address-domain** — the interprocedural dataflow analysis in the
-//!   [`domain`] module assigns every parameter, return value, and local
-//!   binding in the simulator crates an abstract address domain seeded
-//!   from the `vrcache_mem::addr` newtypes and propagated across call
-//!   edges to a fixpoint. Flows where one domain's value reaches
-//!   another domain's constructor, field, or parameter position outside
-//!   the sanctioned translation seams — and raw integers inferred to
-//!   carry both virtual- and physical-family values — are pinned in
-//!   `crates/analysis/domain_baseline.txt` with the same ratchet
-//!   semantics as the hot-path baseline. Re-pin with
-//!   `--write-domain-baseline`; `--domain-report` prints flagged sites
-//!   and inferred parameter domains.
+//!   transitions in `crates/model/coverage.txt` (every exercised
+//!   transition has a spec row, every spec row is exercised or
+//!   allowlisted, every coherence context is reached, and the table
+//!   itself exists and is well formed), and leave no undocumented hole
+//!   in the state×op matrix (dead combinations are allowlisted with a
+//!   reason). Re-pin with `--write-protocol-spec` after a clean tier-1
+//!   run; `--protocol-report` prints the tables.
+//!
+//! Virtual and physical addresses are kept apart by the type system,
+//! not by a lint: the `vrcache_mem` newtypes make a `VirtAddr` passed
+//! where a `PhysAddr` belongs a compile error, pinned by `compile_fail`
+//! doctests on `CacheGeometry::vblock_of` / `pblock_of`.
 //!
 //! Every lint is a pure function over an in-memory [`Workspace`], so the
 //! crate's tests seed violations directly without touching the
@@ -78,7 +68,6 @@
 #![warn(missing_docs)]
 
 pub mod callgraph;
-pub mod domain;
 pub mod flow;
 pub mod lints;
 pub mod protocol;
@@ -134,9 +123,6 @@ pub struct Workspace {
     /// Contents of `crates/analysis/protocol_spec.txt` (the pinned
     /// coherence transition surface), if present.
     pub protocol_spec: Option<String>,
-    /// Contents of `crates/analysis/domain_baseline.txt` (the pinned
-    /// cross-domain address flows), if present.
-    pub domain_baseline: Option<String>,
 }
 
 impl Workspace {
@@ -179,7 +165,7 @@ impl fmt::Display for Diagnostic {
 /// A lint pass: a pure function from workspace to findings.
 pub type LintFn = fn(&Workspace) -> Vec<Diagnostic>;
 
-/// Name → pass table for all eleven lints, in execution order. The names
+/// Name → pass table for all nine lints, in execution order. The names
 /// are the stable identifiers the binary's `--only` / `--list` flags
 /// accept and the `Diagnostic::lint` field carries.
 pub const LINTS: &[(&str, LintFn)] = &[
@@ -187,13 +173,11 @@ pub const LINTS: &[(&str, LintFn)] = &[
     ("address-hygiene", lints::address::check),
     ("panic-hygiene", lints::panic_hygiene::check),
     ("doc-drift", lints::doc_drift::check),
-    ("transition-coverage", lints::transitions::check),
     ("fault-coverage", lints::faults::check),
     ("mutation-baseline", lints::mutation::check),
     ("injection-baseline", lints::injection::check),
     ("hot-path-hygiene", lints::hotpath::check),
     ("protocol-spec", lints::protocol::check),
-    ("address-domain", lints::domain::check),
 ];
 
 /// Runs every lint over the workspace, returning findings sorted by file

@@ -9,8 +9,7 @@
 //! campaign would report it as not-applicable everywhere and the sweep
 //! would quietly stop meaning anything. This lint cross-checks the
 //! `FaultKind` enum in `crates/core/src/fault.rs` against the
-//! `fn inject_fault` body of every `impl FaultPort for` site (the same
-//! way the transition-coverage lint cross-checks snoop arms):
+//! `fn inject_fault` body of every `impl FaultPort for` site:
 //!
 //! 1. **Unwired kind** — every enum variant must be textually mentioned
 //!    as `FaultKind::Variant` inside each implementation, whether it is

@@ -3,11 +3,10 @@
 pub mod address;
 pub mod determinism;
 pub mod doc_drift;
-pub mod domain;
 pub mod faults;
 pub mod hotpath;
 pub mod injection;
 pub mod mutation;
 pub mod panic_hygiene;
 pub mod protocol;
-pub mod transitions;
+mod transitions;

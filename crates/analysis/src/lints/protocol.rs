@@ -12,8 +12,12 @@
 //!    here and demands a deliberate re-pin.
 //! 2. **Coverage inconsistency** — bidirectional cross-check against
 //!    `crates/model/coverage.txt`: every transition the model checker
-//!    exercised must have a spec row, and every specified transition
-//!    must be exercised by some scope (or be allowlisted with a reason).
+//!    exercised must have a spec row (a removed snoop arm leaves an
+//!    exercised transition without one), every specified transition
+//!    must be exercised by some scope (or be allowlisted with a reason),
+//!    and every model-checked hierarchy must be snooped in every
+//!    coherence context. The table itself must exist whenever the
+//!    model crate does, and every row must be well formed.
 //! 3. **Matrix holes** — a `(state, op)` combination with no spec row is
 //!    a rejected path; rejection is fine only when documented in
 //!    [`DEAD_BY_DESIGN`] with a reason.
@@ -21,15 +25,20 @@
 //! Re-pinning goes through `--write-protocol-spec`, which
 //! `scripts/check.sh` gates behind a clean tier-1 run
 //! (`WRITE_PROTOCOL_SPEC=1`); `--protocol-report` prints the tables
-//! read-only.
+//! read-only. The coverage table is regenerated with
+//! `cargo run --release -p vrcache-model -- --scope all --write-coverage
+//! crates/model/coverage.txt`; a stale table also fails the model
+//! crate's own golden test.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::flow::Ctx;
 use crate::protocol::{self, ProtocolSurface};
 use crate::{Diagnostic, Workspace};
 
 const LINT: &str = "protocol-spec";
 const SPEC_PATH: &str = "crates/analysis/protocol_spec.txt";
+const COVERAGE_PATH: &str = "crates/model/coverage.txt";
 const REPIN: &str =
     "re-pin with `cargo run -p vrcache-analysis --bin lint -- --write-protocol-spec` \
      after a clean tier-1 run (`WRITE_PROTOCOL_SPEC=1 scripts/check.sh`)";
@@ -50,6 +59,12 @@ const DEAD_BY_DESIGN: &[(&str, &str, &str)] = &[
          configuration and the arm exists purely to reject it loudly",
     ),
 ];
+
+/// Hierarchies the model checker drives (its coverage labels). Their
+/// spec rows are cross-checked even when `coverage.txt` has no row for
+/// them at all; other hierarchies (the R-R baseline) are cross-checked
+/// only once some scope covers them.
+const MODEL_CHECKED: &[&str] = &["vr", "goodman"];
 
 /// Specified transitions no model scope exercises, with the design
 /// reason. Single-writer exclusion makes these combinations impossible
@@ -147,6 +162,33 @@ fn parse_spec(
     (rows, diags)
 }
 
+/// One well-formed `coverage.txt` row: (1-based line, hierarchy,
+/// context, op).
+type CoverageRow<'a> = (usize, &'a str, &'a str, &'a str);
+
+/// Parses the exercised-transition table, reporting malformed rows.
+fn parse_coverage<'a>(text: &'a str, out: &mut Vec<Diagnostic>) -> Vec<CoverageRow<'a>> {
+    let mut rows = Vec::new();
+    for (idx, raw) in text.lines().enumerate() {
+        let line = raw.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        if let [hier, context, op] = fields[..] {
+            rows.push((idx + 1, hier, context, op));
+        } else {
+            out.push(Diagnostic {
+                file: COVERAGE_PATH.to_string(),
+                line: idx + 1,
+                lint: LINT,
+                message: format!("malformed row `{line}` (want `<hierarchy> <context> <op>`)"),
+            });
+        }
+    }
+    rows
+}
+
 /// The extracted row set keyed like the pinned file.
 fn extracted_rows(surface: &ProtocolSurface) -> BTreeMap<(String, String, String), String> {
     let mut out = BTreeMap::new();
@@ -168,8 +210,25 @@ fn extracted_rows(surface: &ProtocolSurface) -> BTreeMap<(String, String, String
 
 /// Runs the protocol-spec lint.
 pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
-    let surface = protocol::extract(ws);
     let mut out = Vec::new();
+    let coverage = match &ws.model_coverage {
+        Some(text) => Some(parse_coverage(text, &mut out)),
+        None => {
+            if ws.has_path_prefix("crates/model") {
+                out.push(Diagnostic {
+                    file: COVERAGE_PATH.to_string(),
+                    line: 0,
+                    lint: LINT,
+                    message: "missing transition table; regenerate with `cargo run --release \
+                              -p vrcache-model -- --scope all --write-coverage \
+                              crates/model/coverage.txt`"
+                        .to_string(),
+                });
+            }
+            None
+        }
+    };
+    let surface = protocol::extract(ws);
     for hier in &surface.missing_snoop {
         let home = protocol::HIERARCHIES
             .iter()
@@ -276,21 +335,12 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
     }
 
     // 3. Bidirectional coverage cross-check.
-    let Some(coverage) = &ws.model_coverage else {
+    let Some(coverage) = coverage else {
         return out;
     };
     let mut exercised_snoops: BTreeSet<(String, String, String)> = BTreeSet::new();
     let mut exercised_issues: BTreeSet<(String, String)> = BTreeSet::new();
-    for (idx, raw) in coverage.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let [hier, context, op] = fields[..] else {
-            // Malformed rows are the transition-coverage lint's finding.
-            continue;
-        };
+    for (line, hier, context, op) in coverage {
         if !surface.hiers.contains(hier) {
             continue;
         }
@@ -301,8 +351,8 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
                 .contains(&(hier.to_string(), op.to_string()))
             {
                 out.push(Diagnostic {
-                    file: crate::lints::transitions::COVERAGE_PATH.to_string(),
-                    line: idx + 1,
+                    file: COVERAGE_PATH.to_string(),
+                    line,
                     lint: LINT,
                     message: format!(
                         "the model checker observed the {hier} hierarchy issuing \
@@ -319,8 +369,8 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
                 op.to_string(),
             )) {
                 out.push(Diagnostic {
-                    file: crate::lints::transitions::COVERAGE_PATH.to_string(),
-                    line: idx + 1,
+                    file: COVERAGE_PATH.to_string(),
+                    line,
                     lint: LINT,
                     message: format!(
                         "exercised transition `{hier} {context} {op}` has no spec \
@@ -335,7 +385,39 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
         .iter()
         .map(|(h, _, _)| h.as_str())
         .chain(exercised_issues.iter().map(|(h, _)| h.as_str()))
+        .chain(
+            MODEL_CHECKED
+                .iter()
+                .copied()
+                .filter(|h| surface.hiers.contains(*h)),
+        )
         .collect();
+    // Every coherence context — absence plus each `CohState` variant —
+    // must be reached before some snoop of every covered hierarchy.
+    let mut contexts: BTreeSet<String> = Ctx::ALL.iter().map(|c| c.label().to_string()).collect();
+    contexts.extend(
+        protocol::enum_variants(ws, "crates/core/src/rcache.rs", "CohState")
+            .iter()
+            .map(|v| protocol::kebab_case(v)),
+    );
+    for hier in &covered_hiers {
+        for context in &contexts {
+            if !exercised_snoops
+                .iter()
+                .any(|(h, c, _)| h == hier && c == context)
+            {
+                out.push(Diagnostic {
+                    file: COVERAGE_PATH.to_string(),
+                    line: 0,
+                    lint: LINT,
+                    message: format!(
+                        "no scope snoops the {hier} hierarchy in coherence context \
+                         `{context}`; the spec rows for that state are unverified"
+                    ),
+                });
+            }
+        }
+    }
     for (hier, state, op) in &surface.snoop_keys {
         if !covered_hiers.contains(hier.as_str()) {
             continue;
@@ -348,7 +430,7 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
             .any(|(h, s, o, _)| h == hier && s == state && o == op);
         if !allowed {
             out.push(Diagnostic {
-                file: crate::lints::transitions::COVERAGE_PATH.to_string(),
+                file: COVERAGE_PATH.to_string(),
                 line: 0,
                 lint: LINT,
                 message: format!(
@@ -364,7 +446,7 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
         }
         if !exercised_issues.contains(&(hier.clone(), op.clone())) {
             out.push(Diagnostic {
-                file: crate::lints::transitions::COVERAGE_PATH.to_string(),
+                file: COVERAGE_PATH.to_string(),
                 line: 0,
                 lint: LINT,
                 message: format!(
@@ -381,7 +463,7 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
         let key = (hier.to_string(), state.to_string(), op.to_string());
         if exercised_snoops.contains(&key) {
             out.push(Diagnostic {
-                file: crate::lints::transitions::COVERAGE_PATH.to_string(),
+                file: COVERAGE_PATH.to_string(),
                 line: 0,
                 lint: LINT,
                 message: format!(
@@ -391,7 +473,7 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
             });
         } else if !surface.snoop_keys.contains(&key) {
             out.push(Diagnostic {
-                file: crate::lints::transitions::COVERAGE_PATH.to_string(),
+                file: COVERAGE_PATH.to_string(),
                 line: 0,
                 lint: LINT,
                 message: format!(

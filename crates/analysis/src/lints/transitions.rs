@@ -1,310 +1,47 @@
-//! Transition-coverage lint: the protocol's `fn snoop` match arms and the
-//! transition table the model checker exercised must agree.
+//! Transition-coverage scenarios for the protocol-spec lint.
 //!
-//! `crates/model/coverage.txt` is the union of (hierarchy, pre-snoop
-//! coherence context, bus operation) rows the exhaustive small-scope
-//! checker drove through the *real* snoop code. This lint cross-checks
-//! that table against the source of the snoop implementations in
-//! `crates/core`, in both directions:
-//!
-//! 1. **Unhandled transition** — every bus operation the checker
-//!    delivered to a hierarchy must appear as a `BusOp::..` arm inside
-//!    that hierarchy's `fn snoop`. A row with no arm means the protocol
-//!    silently ignores a transaction the system actually produces.
-//! 2. **Dead arm** — every `BusOp::..` the snoop code handles must be
-//!    exercised by at least one scope, unless allowlisted as unreachable
-//!    by design. A dead arm is untested protocol surface: either the
-//!    scopes are too small or the arm is vestigial.
-//! 3. **Context completeness** — for the V-R hierarchy, every `CohState`
-//!    variant (plus absence) must occur as a pre-snoop context in some
-//!    row, so each row of the coherence state × bus event table is known
-//!    to be reached.
-//!
-//! The table is regenerated with
-//! `cargo run --release -p vrcache-model -- --scope all --write-coverage
-//! crates/model/coverage.txt`; a stale table also fails the model crate's
-//! own golden test.
-
-use std::collections::{BTreeMap, BTreeSet};
-
-use crate::{code_portion, Diagnostic, Workspace};
-
-/// Where the exercised-transition table lives.
-pub const COVERAGE_PATH: &str = "crates/model/coverage.txt";
-
-/// The snoop implementations cross-checked, as (coverage label, file).
-const HIERARCHIES: &[(&str, &str)] = &[
-    ("vr", "crates/core/src/vr.rs"),
-    ("goodman", "crates/core/src/goodman.rs"),
-];
-
-/// Kebab-cases a `BusOp` variant identifier the way the model checker
-/// labels operations: `ReadModifiedWrite` → `read-modified-write`.
-fn kebab(ident: &str) -> String {
-    let mut out = String::new();
-    for (i, c) in ident.chars().enumerate() {
-        if c.is_uppercase() {
-            if i > 0 {
-                out.push('-');
-            }
-            out.extend(c.to_lowercase());
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// Counts `{`/`}` on a line, ignoring comment tails and string literals.
-fn brace_delta(raw: &str) -> i32 {
-    let line = code_portion(raw);
-    let mut delta = 0;
-    let mut in_str = false;
-    let bytes = line.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' if in_str => i += 1,
-            b'"' => in_str = !in_str,
-            b'{' if !in_str => delta += 1,
-            b'}' if !in_str => delta -= 1,
-            _ => {}
-        }
-        i += 1;
-    }
-    delta
-}
-
-/// Extracts the body of the trait-level `fn snoop(` from `text`, with the
-/// 1-based line it starts on. Helper methods like `fn snoop_read` do not
-/// match. Returns `None` if no such function exists.
-fn snoop_region(text: &str) -> Option<(usize, String)> {
-    let lines: Vec<&str> = text.lines().collect();
-    let start = lines
-        .iter()
-        .position(|l| code_portion(l).contains("fn snoop("))?;
-    let mut depth = 0;
-    let mut opened = false;
-    let mut region = String::new();
-    for (offset, raw) in lines[start..].iter().enumerate() {
-        region.push_str(raw);
-        region.push('\n');
-        depth += brace_delta(raw);
-        if depth > 0 {
-            opened = true;
-        }
-        if opened && depth <= 0 {
-            return Some((start + 1, region));
-        }
-        let _ = offset;
-    }
-    None
-}
-
-/// Collects every `BusOp::Variant` mentioned in `region`, kebab-cased.
-fn handled_ops(region: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for raw in region.lines() {
-        let line = code_portion(raw);
-        let mut rest = line;
-        while let Some(pos) = rest.find("BusOp::") {
-            let after = &rest[pos + "BusOp::".len()..];
-            let ident: String = after
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            if !ident.is_empty() {
-                out.insert(kebab(&ident));
-            }
-            rest = after;
-        }
-    }
-    out
-}
-
-/// The `CohState` variant names from `crates/core/src/rcache.rs`,
-/// kebab-cased, or an empty set if the enum cannot be found.
-fn coh_states(ws: &Workspace) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let Some(file) = ws.file("crates/core/src/rcache.rs") else {
-        return out;
-    };
-    let mut in_enum = false;
-    for raw in file.text.lines() {
-        let line = code_portion(raw);
-        if line.contains("pub enum CohState") {
-            in_enum = true;
-            continue;
-        }
-        if in_enum {
-            let trimmed = line.trim().trim_end_matches(',');
-            if trimmed == "}" {
-                break;
-            }
-            if !trimmed.is_empty()
-                && trimmed
-                    .chars()
-                    .next()
-                    .is_some_and(|c| c.is_ascii_uppercase())
-                && trimmed.chars().all(|c| c.is_ascii_alphanumeric())
-            {
-                out.insert(kebab(trimmed));
-            }
-        }
-    }
-    out
-}
-
-/// Runs the transition-coverage lint.
-pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let Some(coverage) = &ws.model_coverage else {
-        if ws.has_path_prefix("crates/model") {
-            out.push(Diagnostic {
-                file: COVERAGE_PATH.into(),
-                line: 0,
-                lint: "transition-coverage",
-                message: "missing transition table; regenerate with `cargo run --release \
-                          -p vrcache-model -- --scope all --write-coverage \
-                          crates/model/coverage.txt`"
-                    .into(),
-            });
-        }
-        return out;
-    };
-
-    // Parse rows: hierarchy → snooped ops, hierarchy → snoop contexts.
-    let mut snooped: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut contexts: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for (idx, raw) in coverage.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let [hier, context, op] = fields[..] else {
-            out.push(Diagnostic {
-                file: COVERAGE_PATH.into(),
-                line: idx + 1,
-                lint: "transition-coverage",
-                message: format!("malformed row `{line}` (want `<hierarchy> <context> <op>`)"),
-            });
-            continue;
-        };
-        if context != "issue" {
-            snooped
-                .entry(hier.to_string())
-                .or_default()
-                .insert(op.to_string());
-            contexts
-                .entry(hier.to_string())
-                .or_default()
-                .insert(context.to_string());
-        }
-    }
-
-    // Arms that exist in code but are unreachable by design — derived
-    // from the protocol extractor (an op the snoop rejects in every
-    // coherence state), so this lint and `protocol-spec` cannot
-    // disagree about which ops a hierarchy declines.
-    let dead_by_design = crate::protocol::dead_pairs(ws);
-
-    for &(label, path) in HIERARCHIES {
-        let Some(file) = ws.file(path) else {
-            continue;
-        };
-        let Some((snoop_line, region)) = snoop_region(&file.text) else {
-            out.push(Diagnostic {
-                file: path.into(),
-                line: 0,
-                lint: "transition-coverage",
-                message: "no `fn snoop(` implementation found to cross-check".into(),
-            });
-            continue;
-        };
-        let handled = handled_ops(&region);
-        let empty = BTreeSet::new();
-        let exercised = snooped.get(label).unwrap_or(&empty);
-        for op in exercised {
-            if !handled.contains(op) {
-                out.push(Diagnostic {
-                    file: path.into(),
-                    line: snoop_line,
-                    lint: "transition-coverage",
-                    message: format!(
-                        "unhandled transition: the model checker delivered `{op}` to the \
-                         {label} hierarchy but `fn snoop` has no BusOp arm for it"
-                    ),
-                });
-            }
-        }
-        for op in &handled {
-            let allowed = dead_by_design.contains(&(label.to_string(), op.clone()));
-            if !exercised.contains(op) && !allowed {
-                out.push(Diagnostic {
-                    file: path.into(),
-                    line: snoop_line,
-                    lint: "transition-coverage",
-                    message: format!(
-                        "dead arm: `fn snoop` handles `{op}` but no model scope exercises \
-                         it for the {label} hierarchy (extend a scope or allowlist it)"
-                    ),
-                });
-            }
-        }
-    }
-
-    // Context completeness for the V-R hierarchy: every coherence state,
-    // plus absence, must be reached as a pre-snoop context.
-    if ws.file("crates/core/src/vr.rs").is_some() {
-        let mut wanted = coh_states(ws);
-        wanted.insert("absent".into());
-        let empty = BTreeSet::new();
-        let reached = contexts.get("vr").unwrap_or(&empty);
-        for state in wanted {
-            if !reached.contains(&state) {
-                out.push(Diagnostic {
-                    file: COVERAGE_PATH.into(),
-                    line: 0,
-                    lint: "transition-coverage",
-                    message: format!(
-                        "no scope snoops the vr hierarchy in coherence context `{state}`; \
-                         the transition table row for that state is unverified"
-                    ),
-                });
-            }
-        }
-    }
-
-    out
-}
+//! `protocol-spec` cross-checks `crates/model/coverage.txt` — the
+//! (hierarchy, pre-snoop context, op) rows the model checker drove
+//! through the real snoop code — against the snoop arms in both
+//! directions. The tests here pin that half of the lint: an exercised
+//! transition with no arm, an arm no scope exercises, a coherence
+//! context no scope reaches, and a missing or malformed table.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::SourceFile;
+    use crate::lints::protocol::check;
+    use crate::protocol::{self, kebab_case};
+    use crate::{SourceFile, Workspace};
 
-    /// A minimal V-R snoop with all five arms, Goodman-free.
+    const COVERAGE_PATH: &str = "crates/model/coverage.txt";
+
+    /// A V-R snoop with the given arms plus one read-miss issue site.
     fn vr_snoop(arms: &[&str]) -> String {
         let mut body = String::from(
-            "impl CacheHierarchy for VrHierarchy {\n    fn snoop(&mut self, txn: &BusTransaction) -> SnoopReply {\n        match txn.op {\n",
+            "impl VrHierarchy {\n    fn snoop(&mut self, txn: &BusTransaction) -> SnoopReply {\n        match txn.op {\n",
         );
         for arm in arms {
             body.push_str(&format!(
                 "            BusOp::{arm} => self.handle(txn.block),\n"
             ));
         }
-        body.push_str("        }\n    }\n}\n");
+        body.push_str(
+            "        }\n    }\n    fn miss(&mut self) {\n        \
+             self.bus.issue(BusRequest::ReadMiss { block });\n    }\n}\n",
+        );
         body
     }
 
-    fn rcache_enum() -> SourceFile {
+    fn rcache_enum(variants: &str) -> SourceFile {
         SourceFile::new(
             "crates/core/src/rcache.rs",
-            "pub enum CohState {\n    Shared,\n    Private,\n}\n",
+            format!("pub enum CohState {{\n{variants}}}\n"),
         )
     }
 
+    /// Every transition the five-arm snoop specifies, as the model
+    /// checker exercises it: all snoop rows except the ones a peer can
+    /// never originate against a private line, plus the issue row.
     const FULL_COVERAGE: &str = "vr absent read-miss\nvr shared read-miss\nvr private read-miss\n\
                                  vr shared invalidate\nvr absent invalidate\n\
                                  vr absent read-modified-write\nvr private read-modified-write\n\
@@ -312,18 +49,6 @@ mod tests {
                                  vr absent write-back\nvr shared write-back\n\
                                  vr absent update\nvr shared update\n\
                                  vr issue read-miss\n";
-
-    fn ws_with(coverage: &str, arms: &[&str]) -> Workspace {
-        Workspace {
-            sources: vec![
-                SourceFile::new("crates/core/src/vr.rs", vr_snoop(arms)),
-                rcache_enum(),
-                SourceFile::new("crates/model/src/lib.rs", ""),
-            ],
-            model_coverage: Some(coverage.to_string()),
-            ..Workspace::default()
-        }
-    }
 
     const ALL_ARMS: &[&str] = &[
         "ReadMiss",
@@ -333,6 +58,30 @@ mod tests {
         "Update",
     ];
 
+    /// A workspace over `arms` with today's extraction pinned, so only
+    /// the coverage cross-check and the matrix can speak.
+    fn ws_with(coverage: &str, arms: &[&str]) -> Workspace {
+        let mut ws = Workspace {
+            sources: vec![
+                SourceFile::new("crates/core/src/vr.rs", vr_snoop(arms)),
+                rcache_enum("    Shared,\n    Private,\n"),
+                SourceFile::new("crates/model/src/lib.rs", ""),
+            ],
+            model_coverage: Some(coverage.to_string()),
+            ..Workspace::default()
+        };
+        ws.protocol_spec = Some(protocol::render(&protocol::extract(&ws)));
+        ws
+    }
+
+    fn coverage_without(needle: &str) -> String {
+        FULL_COVERAGE
+            .lines()
+            .filter(|l| !l.contains(needle))
+            .map(|l| format!("{l}\n"))
+            .collect()
+    }
+
     #[test]
     fn complete_table_and_arms_are_clean() {
         assert_eq!(check(&ws_with(FULL_COVERAGE, ALL_ARMS)), vec![]);
@@ -340,8 +89,8 @@ mod tests {
 
     #[test]
     fn removed_match_arm_is_an_unhandled_transition() {
-        // Artificially drop the Invalidate arm: the checker exercised
-        // `invalidate` snoops, so the lint must fail.
+        // Drop the Invalidate arm: the checker exercised `invalidate`
+        // snoops, so those rows now lack a spec row.
         let arms: Vec<&str> = ALL_ARMS
             .iter()
             .copied()
@@ -349,38 +98,37 @@ mod tests {
             .collect();
         let diags = check(&ws_with(FULL_COVERAGE, &arms));
         assert!(
-            diags
-                .iter()
-                .any(|d| d.message.contains("unhandled transition")
-                    && d.message.contains("`invalidate`")
-                    && d.file == "crates/core/src/vr.rs"),
-            "{diags:?}"
+            diags.iter().any(|d| d.message.contains("has no spec row")
+                && d.message.contains("`vr shared invalidate`")
+                && d.file == COVERAGE_PATH),
+            "{diags:#?}"
         );
     }
 
     #[test]
     fn unexercised_arm_is_a_dead_arm() {
         // Coverage missing every `update` row: the Update arm is dead.
-        let cov: String = FULL_COVERAGE
-            .lines()
-            .filter(|l| !l.contains("update"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let diags = check(&ws_with(&cov, ALL_ARMS));
+        let diags = check(&ws_with(&coverage_without("update"), ALL_ARMS));
         assert!(
-            diags
-                .iter()
-                .any(|d| d.message.contains("dead arm") && d.message.contains("`update`")),
-            "{diags:?}"
+            diags.iter().any(|d| d.message.contains("never exercised")
+                && d.message.contains("`vr shared update`")),
+            "{diags:#?}"
+        );
+        // A model-checked hierarchy with no row at all is not exempt.
+        let diags = check(&ws_with("# no rows\n", ALL_ARMS));
+        assert!(
+            diags.iter().any(|d| d.message.contains("never exercised")
+                && d.message.contains("`vr absent read-miss`")),
+            "{diags:#?}"
         );
     }
 
     #[test]
     fn goodman_update_arm_is_allowlisted() {
         // The snoop rejects Update behind a `debug_assert!(false …)`, so
-        // the extractor derives (goodman, update) as dead by design —
-        // no hand-kept allowlist entry is involved.
-        let ws = Workspace {
+        // the extractor derives (goodman, update) as dead by design and
+        // no update row needs exercising.
+        let mut ws = Workspace {
             sources: vec![SourceFile::new(
                 "crates/core/src/goodman.rs",
                 "impl CacheHierarchy for GoodmanHierarchy {\n    \
@@ -394,31 +142,37 @@ mod tests {
                  BusOp::Update => unreachable!(\"rejected above\"),\n        }\n    }\n}\n",
             )],
             model_coverage: Some(
-                "goodman absent read-miss\ngoodman shared read-miss\n\
-                 goodman shared invalidate\ngoodman absent read-modified-write\n\
+                "goodman absent read-miss\ngoodman shared read-miss\ngoodman private read-miss\n\
+                 goodman absent invalidate\ngoodman shared invalidate\n\
+                 goodman absent read-modified-write\ngoodman shared read-modified-write\n\
+                 goodman private read-modified-write\n\
                  goodman absent write-back\n"
                     .to_string(),
             ),
             ..Workspace::default()
         };
+        let surface = protocol::extract(&ws);
+        assert!(surface.dead.contains(&("goodman".into(), "update".into())));
+        ws.protocol_spec = Some(protocol::render(&surface));
         assert_eq!(check(&ws), vec![], "update must be dead-by-design");
     }
 
     #[test]
     fn missing_context_is_flagged() {
         // No row ever snoops vr while `private`.
-        let cov: String = FULL_COVERAGE
-            .lines()
-            .filter(|l| !l.contains("private"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let diags = check(&ws_with(&cov, ALL_ARMS));
+        let diags = check(&ws_with(&coverage_without("private"), ALL_ARMS));
         assert!(
             diags
                 .iter()
                 .any(|d| d.message.contains("context `private`")),
-            "{diags:?}"
+            "{diags:#?}"
         );
+        // Nor while in a `CohState` variant the extractor does not model.
+        let mut ws = ws_with(FULL_COVERAGE, ALL_ARMS);
+        ws.sources[1] = rcache_enum("    Shared,\n    Private,\n    Owned,\n");
+        let diags = check(&ws);
+        assert_eq!(diags.len(), 1, "{diags:#?}");
+        assert!(diags[0].message.contains("context `owned`"), "{diags:#?}");
     }
 
     #[test]
@@ -428,8 +182,9 @@ mod tests {
             ..Workspace::default()
         };
         let diags = check(&with_model);
-        assert_eq!(diags.len(), 1);
+        assert_eq!(diags.len(), 1, "{diags:#?}");
         assert!(diags[0].message.contains("missing transition table"));
+        assert_eq!(diags[0].file, COVERAGE_PATH);
 
         let without = Workspace::default();
         assert_eq!(check(&without), vec![]);
@@ -439,44 +194,66 @@ mod tests {
     fn malformed_rows_are_reported() {
         let ws = Workspace {
             model_coverage: Some("# ok\nvr shared\n".to_string()),
-            sources: vec![],
             ..Workspace::default()
         };
         let diags = check(&ws);
-        assert_eq!(diags.len(), 1);
+        assert_eq!(diags.len(), 1, "{diags:#?}");
         assert!(diags[0].message.contains("malformed row"));
-        assert_eq!(diags[0].line, 2);
+        assert_eq!((diags[0].file.as_str(), diags[0].line), (COVERAGE_PATH, 2));
+        // Also alongside a hierarchy to cross-check.
+        let cov = format!("{FULL_COVERAGE}vr shared\n");
+        let diags = check(&ws_with(&cov, ALL_ARMS));
+        assert_eq!(diags.len(), 1, "{diags:#?}");
+        assert!(diags[0].message.contains("malformed row"));
     }
 
     #[test]
     fn kebab_matches_model_labels() {
-        assert_eq!(kebab("ReadMiss"), "read-miss");
-        assert_eq!(kebab("ReadModifiedWrite"), "read-modified-write");
-        assert_eq!(kebab("Update"), "update");
+        // Bus ops and `CohState` variants both map onto the labels the
+        // model checker writes into the coverage table.
+        assert_eq!(kebab_case("ReadMiss"), "read-miss");
+        assert_eq!(kebab_case("ReadModifiedWrite"), "read-modified-write");
+        assert_eq!(kebab_case("Update"), "update");
+        assert_eq!(kebab_case("Shared"), "shared");
+        assert_eq!(kebab_case("Private"), "private");
     }
 
     #[test]
     fn snoop_region_skips_helper_methods() {
-        let text = "fn snoop_read(&mut self) {\n    BusOp::Update;\n}\n\
-                    fn snoop(&mut self, txn: &BusTransaction) -> SnoopReply {\n    \
-                    match txn.op { BusOp::ReadMiss => x() }\n}\n";
-        let (line, region) = snoop_region(text).expect("found");
-        assert_eq!(line, 4);
-        let ops = handled_ops(&region);
-        assert!(ops.contains("read-miss"));
-        assert!(!ops.contains("update"), "helper must not leak in");
+        // A `snoop_*` helper that `snoop` never calls must not leak its
+        // ops into the handled set.
+        let ws = Workspace {
+            sources: vec![SourceFile::new(
+                "crates/core/src/vr.rs",
+                "impl VrHierarchy {\n    fn snoop_read(&mut self) {\n        BusOp::Update;\n    }\n    \
+                 fn snoop(&mut self, txn: &BusTransaction) -> SnoopReply {\n        \
+                 match txn.op { BusOp::ReadMiss => x() }\n    }\n}\n",
+            )],
+            ..Workspace::default()
+        };
+        let surface = protocol::extract(&ws);
+        let key = |op: &str| ("vr".to_string(), "shared".to_string(), op.to_string());
+        assert!(
+            surface.snoop_keys.contains(&key("read-miss")),
+            "{surface:#?}"
+        );
+        assert!(
+            !surface.snoop_keys.contains(&key("update")),
+            "helper must not leak in"
+        );
+        assert!(surface.dead.contains(&("vr".into(), "update".into())));
     }
 
     #[test]
     fn real_workspace_is_clean() {
-        use crate::walk;
-        use std::path::Path;
-        let root = walk::find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("root");
-        let ws = walk::load(&root).expect("load");
+        let root = crate::walk::find_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
+            .expect("workspace root");
+        let ws = crate::walk::load(&root).expect("load workspace");
         assert!(
             ws.model_coverage.is_some(),
             "crates/model/coverage.txt must be checked in"
         );
-        assert_eq!(check(&ws), vec![]);
+        let diags = check(&ws);
+        assert!(diags.is_empty(), "{diags:#?}");
     }
 }

@@ -125,7 +125,7 @@ pub struct ProtocolSurface {
 
 /// CamelCase → kebab-case (`ReadModifiedWrite` → `read-modified-write`),
 /// matching the model checker's label convention.
-fn kebab_case(ident: &str) -> String {
+pub(crate) fn kebab_case(ident: &str) -> String {
     let mut out = String::new();
     for c in ident.chars() {
         if c.is_ascii_uppercase() {
@@ -140,35 +140,45 @@ fn kebab_case(ident: &str) -> String {
     out
 }
 
+/// The unit variants of `pub enum <name>` declared in the workspace
+/// file `rel`, in declaration order; empty when the file or the enum is
+/// absent.
+pub(crate) fn enum_variants(ws: &Workspace, rel: &str, name: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let Some(text) = source_of(ws, rel) else {
+        return out;
+    };
+    let Some(pos) = text.find(&format!("pub enum {name} ")) else {
+        return out;
+    };
+    let after = &text[pos..];
+    let Some(open) = after.find('{') else {
+        return out;
+    };
+    let Some(close) = after[open..].find('}') else {
+        return out;
+    };
+    for line in after[open + 1..open + close].lines() {
+        let t = line.trim().trim_end_matches(',');
+        if !t.is_empty()
+            && !t.starts_with("//")
+            && !t.starts_with('#')
+            && t.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+        {
+            out.push(t.to_string());
+        }
+    }
+    out
+}
+
 /// The bus-op variant universe: read from the `BusOp` enum declaration
 /// in `crates/bus/src/txn.rs` when the workspace has it, otherwise the
 /// union of `BusOp::X` mentions across the hierarchy home files (the
 /// fixture-workspace fallback).
 fn bus_op_variants(ws: &Workspace) -> Vec<String> {
-    if let Some(f) = ws.file("crates/bus/src/txn.rs") {
-        let text = &f.text;
-        if let Some(pos) = text.find("pub enum BusOp") {
-            let after = &text[pos..];
-            if let Some(open) = after.find('{') {
-                if let Some(close) = after[open..].find('}') {
-                    let body = &after[open + 1..open + close];
-                    let mut out = Vec::new();
-                    for line in body.lines() {
-                        let t = line.trim().trim_end_matches(',');
-                        if !t.is_empty()
-                            && !t.starts_with("//")
-                            && !t.starts_with('#')
-                            && t.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-                        {
-                            out.push(t.to_string());
-                        }
-                    }
-                    if !out.is_empty() {
-                        return out;
-                    }
-                }
-            }
-        }
+    let declared = enum_variants(ws, "crates/bus/src/txn.rs", "BusOp");
+    if !declared.is_empty() {
+        return declared;
     }
     let mut seen = BTreeSet::new();
     for h in HIERARCHIES {
@@ -269,7 +279,7 @@ pub fn extract(ws: &Workspace) -> ProtocolSurface {
         for variant in &variants {
             let op = kebab_case(variant);
             let mut live_in_any = false;
-            for init in [Ctx::Absent, Ctx::Shared, Ctx::Private] {
+            for init in Ctx::ALL {
                 let outcome = flow::eval_handler(&snoop_tree, &h.lens, &helpers, variant, init);
                 if !outcome.live {
                     surface.dead_states.insert((
@@ -371,13 +381,6 @@ pub fn report(surface: &ProtocolSurface) -> String {
         out.push('\n');
     }
     out
-}
-
-/// The spec-derived dead `(hierarchy, op)` pairs, for the
-/// `transition-coverage` lint (so the two lints cannot disagree about
-/// which ops a hierarchy rejects).
-pub fn dead_pairs(ws: &Workspace) -> BTreeSet<(String, String)> {
-    extract(ws).dead
 }
 
 #[cfg(test)]

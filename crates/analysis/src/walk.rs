@@ -31,7 +31,7 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
 }
 
 /// Loads every tracked `.rs` file under `root` (skipping [`SKIP_DIRS`])
-/// plus `DESIGN.md`, the model checker's transition-coverage table, the
+/// plus `DESIGN.md`, the model checker's transition table, the
 /// mutation and injection baselines, and the latest mutation and
 /// injection reports, into an in-memory [`Workspace`].
 ///
@@ -52,7 +52,6 @@ pub fn load(root: &Path) -> io::Result<Workspace> {
     let hotpath_baseline =
         fs::read_to_string(root.join("crates/analysis/hotpath_baseline.txt")).ok();
     let protocol_spec = fs::read_to_string(root.join("crates/analysis/protocol_spec.txt")).ok();
-    let domain_baseline = fs::read_to_string(root.join("crates/analysis/domain_baseline.txt")).ok();
     Ok(Workspace {
         sources,
         design_md,
@@ -63,7 +62,6 @@ pub fn load(root: &Path) -> io::Result<Workspace> {
         injection_report,
         hotpath_baseline,
         protocol_spec,
-        domain_baseline,
     })
 }
 
@@ -329,7 +327,6 @@ mod tests {
         );
         assert!(ws.design_md.is_some(), "DESIGN.md loads");
         assert!(ws.hotpath_baseline.is_some(), "hot-path baseline loads");
-        assert!(ws.domain_baseline.is_some(), "domain baseline loads");
     }
 
     fn marker() -> String {

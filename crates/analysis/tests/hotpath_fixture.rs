@@ -114,7 +114,7 @@ fn list_and_only_flags() {
     let (code, stdout) = run_lint(&root, &["--list"]);
     assert_eq!(code, 0);
     let names: Vec<&str> = stdout.lines().collect();
-    assert_eq!(names.len(), 11, "eleven lints listed: {stdout}");
+    assert_eq!(names.len(), 9, "nine lints listed: {stdout}");
     assert!(names.contains(&"hot-path-hygiene"), "{stdout}");
     assert!(names.contains(&"determinism"), "{stdout}");
 

@@ -172,7 +172,7 @@ fn protocol_report_is_read_only() {
 }
 
 #[test]
-fn list_names_the_tenth_lint() {
+fn list_names_protocol_spec() {
     let root = make_fixture("list");
     let (code, stdout) = run_lint(&root, &["--list"]);
     assert_eq!(code, 0);

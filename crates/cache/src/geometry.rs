@@ -169,24 +169,60 @@ impl CacheGeometry {
     /// The raw entry point: a `BlockId` is space-ambiguous (see its
     /// docs), so callers holding a typed address should prefer
     /// [`vblock_of`](Self::vblock_of) / [`pblock_of`](Self::pblock_of),
-    /// which keep the address-domain analysis informed about which
-    /// space the block came from.
+    /// whose parameter types make the compiler reject an address from
+    /// the wrong space.
     #[inline]
     pub fn block_of(&self, raw_addr: u64) -> BlockId {
         BlockId(raw_addr >> self.block_bits())
     }
 
-    /// The block id containing a virtual address (the typed entry for
-    /// virtually-indexed caches; a sanctioned translation in the
-    /// address-domain analysis).
+    /// The block id containing a virtual address: the typed entry for
+    /// virtually-indexed caches.
+    ///
+    /// A virtual address goes in:
+    ///
+    /// ```
+    /// use vrcache_cache::geometry::CacheGeometry;
+    /// use vrcache_mem::VirtAddr;
+    /// let g = CacheGeometry::new(16 * 1024, 16, 1).unwrap();
+    /// assert_eq!(g.vblock_of(VirtAddr::new(0x1230)).raw(), 0x123);
+    /// ```
+    ///
+    /// A physical address is a type error, so an R-side name can never
+    /// index the V-cache:
+    ///
+    /// ```compile_fail,E0308
+    /// use vrcache_cache::geometry::CacheGeometry;
+    /// use vrcache_mem::PhysAddr;
+    /// let g = CacheGeometry::new(16 * 1024, 16, 1).unwrap();
+    /// assert_eq!(g.vblock_of(PhysAddr::new(0x1230)).raw(), 0x123);
+    /// ```
     #[inline]
     pub fn vblock_of(&self, va: VirtAddr) -> BlockId {
         self.block_of(va.raw())
     }
 
-    /// The block id containing a physical address (the typed entry for
-    /// physically-indexed caches; a sanctioned translation in the
-    /// address-domain analysis).
+    /// The block id containing a physical address: the typed entry for
+    /// physically-indexed caches.
+    ///
+    /// A physical address goes in:
+    ///
+    /// ```
+    /// use vrcache_cache::geometry::CacheGeometry;
+    /// use vrcache_mem::PhysAddr;
+    /// let g = CacheGeometry::new(16 * 1024, 16, 1).unwrap();
+    /// assert_eq!(g.pblock_of(PhysAddr::new(0x1230)).raw(), 0x123);
+    /// ```
+    ///
+    /// A virtual address is a type error, so a V-side name can never
+    /// index the R-cache or reach the bus:
+    ///
+    /// ```compile_fail,E0308
+    /// use vrcache_cache::geometry::CacheGeometry;
+    /// use vrcache_mem::VirtAddr;
+    /// let g = CacheGeometry::new(16 * 1024, 16, 1).unwrap();
+    /// assert_eq!(g.pblock_of(VirtAddr::new(0x1230)).raw(), 0x123);
+    /// ```
     #[inline]
     pub fn pblock_of(&self, pa: PhysAddr) -> BlockId {
         self.block_of(pa.raw())

@@ -36,7 +36,7 @@ use vrcache_cache::stats::CacheStats;
 use vrcache_cache::syndrome::{Codeword, Decode};
 use vrcache_cache::write_buffer::WriteBuffer;
 use vrcache_mem::access::{AccessKind, CpuId};
-use vrcache_mem::addr::{Asid, Vpn};
+use vrcache_mem::addr::{Asid, VirtAddr, Vpn};
 use vrcache_mem::tlb::Tlb;
 use vrcache_trace::record::MemAccess;
 
@@ -196,8 +196,8 @@ impl VrHierarchy {
     /// [`ContextSwitchPolicy::AsidTags`] alternative. The packing leaves
     /// the set-index bits untouched, so placement is identical to the
     /// untagged organization — only tag matching becomes process-aware.
-    fn v_key(&self, asid: Asid, vaddr_raw: u64) -> BlockId {
-        let vblock = self.granule_geo.block_of(vaddr_raw);
+    fn v_key(&self, asid: Asid, vaddr: VirtAddr) -> BlockId {
+        let vblock = self.granule_geo.vblock_of(vaddr);
         match self.cs_policy {
             ContextSwitchPolicy::AsidTags => {
                 BlockId::new(vblock.raw() | (u64::from(asid.raw()) << 48))
@@ -638,7 +638,7 @@ impl CacheHierarchy for VrHierarchy {
         }
 
         let child = self.route(access.kind);
-        let vblock = self.v_key(access.asid, access.vaddr.raw());
+        let vblock = self.v_key(access.asid, access.vaddr);
         let p1 = self.granule_geo.pblock_of(access.paddr);
         let p2 = self.l2.l2_block_of(p1);
 
@@ -893,7 +893,8 @@ impl CacheHierarchy for VrHierarchy {
         let first_vblock = vpn.raw() * blocks_per_page;
         let mut disturbed = 0;
         for i in 0..blocks_per_page {
-            let key = self.v_key(asid, (first_vblock + i) << self.granule_geo.block_bits());
+            let vaddr = VirtAddr::new((first_vblock + i) << self.granule_geo.block_bits());
+            let key = self.v_key(asid, vaddr);
             for child in [ChildCache::Data, ChildCache::Instr] {
                 if child == ChildCache::Instr && self.l1i.is_none() {
                     continue;

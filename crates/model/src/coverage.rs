@@ -7,9 +7,10 @@
 //! snoop; every transaction issued is recorded with context `issue`.
 //! The union over all scopes is checked in as `crates/model/coverage.txt`
 //! and cross-checked two ways: a golden test here asserts the file matches
-//! what the scopes exercise today, and the `transition-coverage` lint in
-//! `vrcache-analysis` asserts the file and the `fn snoop` match arms in
-//! `crates/core` agree (no unhandled rows, no dead arms).
+//! what the scopes exercise today, and the `protocol-spec` lint in
+//! `vrcache-analysis` asserts the file and the transition surface
+//! extracted from the `snoop` handlers in `crates/core` agree (no
+//! unhandled rows, no dead arms, every coherence context reached).
 
 use std::collections::BTreeSet;
 

@@ -37,14 +37,6 @@ if [[ "${WRITE_PROTOCOL_SPEC:-0}" == "1" ]]; then
   cargo run -q --release -p vrcache-analysis --bin lint -- --write-protocol-spec
 fi
 
-# Opt-in: WRITE_DOMAIN_BASELINE=1 re-pins the address-domain flow
-# baseline. Same placement rationale again: the cross-domain debt
-# ratchet may only be rewritten by a tree that passes tier-1.
-if [[ "${WRITE_DOMAIN_BASELINE:-0}" == "1" ]]; then
-  echo "==> re-pin address-domain baseline (tier-1 clean)"
-  cargo run -q --release -p vrcache-analysis --bin lint -- --write-domain-baseline
-fi
-
 echo "==> workspace lints"
 cargo run -q --release -p vrcache-analysis --bin lint
 
