@@ -1057,6 +1057,11 @@ fn classify_guard(conjunct: &str, lens: &Lens, op: &str, state: &AbsState) -> Gu
     }
 }
 
+/// `t` without whitespace, so a needle can match a split method chain.
+fn squash(t: &str) -> String {
+    t.split_whitespace().collect()
+}
+
 /// Applies a statement's protocol facts to the abstract state.
 fn apply_facts(t: &str, lens: &Lens, state: &mut AbsState) {
     // Reply construction. `SnoopReply::default()` without an explicit
@@ -1068,7 +1073,13 @@ fn apply_facts(t: &str, lens: &Lens, state: &mut AbsState) {
         state.has_copy = Tri::No;
         state.supplied = Tri::No;
     }
-    if t.contains("supplied = Some(") || t.contains("supplied: Some(") {
+    // Supply is an assignment of `Some(..)` or an in-place append through
+    // `supplied.get_or_insert_default()` (matched across a method chain
+    // that rustfmt split over lines).
+    if t.contains("supplied = Some(")
+        || t.contains("supplied: Some(")
+        || squash(t).contains(".supplied.get_or_insert_default()")
+    {
         state.supplied = Tri::Yes;
     }
     if t.contains(".push(") {
@@ -1277,6 +1288,26 @@ mod tests {
         }";
         assert!(!run(src, "Update", Ctx::Shared).live, "update must reject");
         assert!(run(src, "ReadMiss", Ctx::Shared).live);
+    }
+
+    #[test]
+    fn appending_through_get_or_insert_supplies() {
+        let src = "fn snoop(&mut self, txn: &BusTransaction) -> SnoopReply {
+            let mut reply = SnoopReply::default();
+            for g in granules {
+                reply.has_copy = true;
+                if dirty {
+                    reply
+                        .supplied
+                        .get_or_insert_default()
+                        .push((g, v));
+                }
+            }
+            reply
+        }";
+        let out = run(src, "ReadMiss", Ctx::Shared);
+        assert_eq!(out.has_copy, Tri::May);
+        assert_eq!(out.supplied, Tri::May, "a guarded append may supply");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! one structure.
 
 use crate::geometry::{BlockId, CacheGeometry};
-use crate::replacement::{ReplacementPolicy, SetState, XorShift64};
+use crate::replacement::{ReplacementPolicy, ReplacementState, XorShift64};
 use vrcache_mem::SetIndex;
 
 /// One cache line: the block it holds and the caller's metadata.
@@ -57,10 +57,14 @@ pub struct FillOutcome<M> {
 #[derive(Debug, Clone)]
 pub struct CacheArray<M> {
     geometry: CacheGeometry,
-    policy: ReplacementPolicy,
+    /// `sets * ways` tags, slot-aligned with `lines`: the block each slot
+    /// last held. A probe scans only its set's run of this array and reads
+    /// `lines` once a tag matches; an invalid slot may keep a stale tag, so
+    /// a match also checks that the slot is valid.
+    tags: Vec<BlockId>,
     /// `sets * ways` slots; `None` = invalid line.
     lines: Vec<Option<Line<M>>>,
-    states: Vec<SetState>,
+    replacement: ReplacementState,
     rng: XorShift64,
     clock: u64,
 }
@@ -71,13 +75,14 @@ impl<M> CacheArray<M> {
     pub fn new(geometry: CacheGeometry, policy: ReplacementPolicy, seed: u64) -> Self {
         let sets = geometry.sets() as usize;
         let ways = geometry.assoc();
-        let mut lines = Vec::with_capacity(sets * ways as usize);
-        lines.resize_with(sets * ways as usize, || None);
+        let slots = sets * ways as usize;
+        let mut lines = Vec::with_capacity(slots);
+        lines.resize_with(slots, || None);
         CacheArray {
             geometry,
-            policy,
+            tags: vec![BlockId::default(); slots],
             lines,
-            states: (0..sets).map(|_| SetState::new(ways)).collect(),
+            replacement: ReplacementState::new(policy, sets, ways),
             rng: XorShift64::new(seed),
             clock: 0,
         }
@@ -92,7 +97,7 @@ impl<M> CacheArray<M> {
     /// The replacement policy in effect.
     #[inline]
     pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
+        self.replacement.policy()
     }
 
     #[inline]
@@ -100,39 +105,44 @@ impl<M> CacheArray<M> {
         set.index() * self.geometry.assoc() as usize
     }
 
-    fn way_of(&self, block: BlockId) -> Option<u32> {
-        let set = self.geometry.set_of(block);
-        let base = self.slot_base(set);
-        (0..self.geometry.assoc()).find(|w| {
-            self.lines[base + *w as usize]
-                .as_ref()
-                .is_some_and(|l| l.block == block)
-        })
+    /// The way of the set starting at slot `base` that holds `block`.
+    #[inline]
+    fn way_in(&self, base: usize, block: BlockId) -> Option<usize> {
+        let ways = self.geometry.assoc() as usize;
+        self.tags[base..base + ways]
+            .iter()
+            .zip(&self.lines[base..base + ways])
+            .position(|(tag, line)| *tag == block && line.is_some())
+    }
+
+    /// The slot holding `block`, if it is present.
+    #[inline]
+    fn slot_of(&self, block: BlockId) -> Option<usize> {
+        let base = self.slot_base(self.geometry.set_of(block));
+        self.way_in(base, block).map(|way| base + way)
     }
 
     /// Looks up `block`, refreshing replacement state on a hit.
     pub fn lookup(&mut self, block: BlockId) -> Option<&mut Line<M>> {
-        let way = self.way_of(block)?;
         let set = self.geometry.set_of(block);
-        self.clock += 1;
-        let clock = self.clock;
-        self.states[set.index()].on_access(self.policy, way, clock);
         let base = self.slot_base(set);
-        self.lines[base + way as usize].as_mut()
+        let way = self.way_in(base, block)?;
+        self.clock += 1;
+        self.replacement
+            .on_access(set.index(), way as u32, self.clock);
+        self.lines[base + way].as_mut()
     }
 
     /// Looks up `block` without touching replacement state.
     pub fn peek(&self, block: BlockId) -> Option<&Line<M>> {
-        let way = self.way_of(block)?;
-        let base = self.slot_base(self.geometry.set_of(block));
-        self.lines[base + way as usize].as_ref()
+        let slot = self.slot_of(block)?;
+        self.lines[slot].as_ref()
     }
 
     /// Mutable [`peek`](Self::peek): no replacement-state side effects.
     pub fn peek_mut(&mut self, block: BlockId) -> Option<&mut Line<M>> {
-        let way = self.way_of(block)?;
-        let base = self.slot_base(self.geometry.set_of(block));
-        self.lines[base + way as usize].as_mut()
+        let slot = self.slot_of(block)?;
+        self.lines[slot].as_mut()
     }
 
     /// Inserts `block` with metadata `meta`, evicting if the set is full.
@@ -150,20 +160,21 @@ impl<M> CacheArray<M> {
     where
         F: FnMut(&Line<M>) -> bool,
     {
-        assert!(
-            self.way_of(block).is_none(),
-            "fill of a block already present: {block:?}"
-        );
         let set = self.geometry.set_of(block);
         let base = self.slot_base(set);
+        assert!(
+            self.way_in(base, block).is_none(),
+            "fill of a block already present: {block:?}"
+        );
         let ways = self.geometry.assoc();
         self.clock += 1;
         let clock = self.clock;
 
         // 1. Invalid way?
         if let Some(way) = (0..ways).find(|w| self.lines[base + *w as usize].is_none()) {
+            self.tags[base + way as usize] = block;
             self.lines[base + way as usize] = Some(Line { block, meta });
-            self.states[set.index()].on_fill(self.policy, way, clock);
+            self.replacement.on_fill(set.index(), way, clock);
             return FillOutcome {
                 way,
                 evicted: None,
@@ -182,8 +193,8 @@ impl<M> CacheArray<M> {
             }
         }
         let draw = self.rng.next_u64();
-        let state = &self.states[set.index()];
-        let (way, fell_back) = match state.victim(self.policy, preferred_mask, draw) {
+        let state = &self.replacement;
+        let (way, fell_back) = match state.victim(set.index(), preferred_mask, draw) {
             Some(w) => (w, false),
             None => {
                 let all = if ways == 64 {
@@ -191,15 +202,16 @@ impl<M> CacheArray<M> {
                 } else {
                     (1u64 << ways) - 1
                 };
-                let Some(w) = state.victim(self.policy, all, draw) else {
+                let Some(w) = state.victim(set.index(), all, draw) else {
                     unreachable!("a full set always yields a victim over the all-ways mask");
                 };
                 (w, true)
             }
         };
         let evicted = self.lines[base + way as usize].take();
+        self.tags[base + way as usize] = block;
         self.lines[base + way as usize] = Some(Line { block, meta });
-        self.states[set.index()].on_fill(self.policy, way, clock);
+        self.replacement.on_fill(set.index(), way, clock);
         FillOutcome {
             way,
             evicted,
@@ -209,9 +221,8 @@ impl<M> CacheArray<M> {
 
     /// Removes `block` from the cache, returning its line if present.
     pub fn invalidate(&mut self, block: BlockId) -> Option<Line<M>> {
-        let way = self.way_of(block)?;
-        let base = self.slot_base(self.geometry.set_of(block));
-        self.lines[base + way as usize].take()
+        let slot = self.slot_of(block)?;
+        self.lines[slot].take()
     }
 
     /// Applies `f` to every valid line (mutably). Used for bulk operations

@@ -1,6 +1,9 @@
 //! Cache geometry: size / block / associativity and the address split.
 
 use core::fmt;
+use core::hash::{BuildHasherDefault, Hasher};
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
 use vrcache_mem::{MemError, PhysAddr, SetIndex, Tag, VirtAddr};
 
@@ -38,6 +41,47 @@ impl fmt::Debug for BlockId {
 impl fmt::Display for BlockId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:#x}", self.0)
+    }
+}
+
+/// A hash map keyed by [`BlockId`], hashed with [`BlockHasher`].
+///
+/// Build one with `BlockMap::default()`. Iteration order is a fixed
+/// function of the keys inserted, but callers that render a map's
+/// contents still sort them.
+pub type BlockMap<V> = HashMap<BlockId, V, BuildHasherDefault<BlockHasher>>;
+
+/// Deterministic multiplicative hasher for [`BlockId`] keys.
+///
+/// A block id is one `u64`, so hashing it needs no SipHash rounds: one
+/// multiply by the 64-bit golden ratio, then the high half folded onto
+/// the low half. The table picks a bucket from the low bits and a slot
+/// tag from the top bits, and the fold makes both depend on every key
+/// bit, so block ids at a power-of-two stride still spread over all
+/// buckets.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BlockHasher(u64);
+
+impl BlockHasher {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+}
+
+impl Hasher for BlockHasher {
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let h = (self.0 ^ n).wrapping_mul(Self::K);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -288,16 +332,51 @@ impl CacheGeometry {
         (inner_block.raw() & ((1 << shift) - 1)) as u32
     }
 
-    /// Enumerates the `inner`-sized block ids contained in `block` of this
-    /// geometry, in address order.
-    pub fn subblocks_of<'a>(
-        &self,
-        inner: &'a CacheGeometry,
-        block: BlockId,
-    ) -> impl Iterator<Item = BlockId> + 'a {
+    /// The `inner`-sized block ids contained in `block` of this geometry,
+    /// in address order.
+    pub fn subblocks_of(&self, inner: &CacheGeometry, block: BlockId) -> Subblocks {
         let shift = self.block_bits() - inner.block_bits();
-        let base = block.raw() << shift;
-        (0..(1u64 << shift)).map(move |i| BlockId(base + i))
+        Subblocks {
+            first: block.raw() << shift,
+            count: 1 << shift,
+        }
+    }
+}
+
+/// The inner block ids of one outer block (an R-cache line's granules, or
+/// a bus block's first-level blocks), in address order.
+///
+/// Two numbers stand in for the list: enumerating, indexing and
+/// membership are arithmetic, and the value borrows nothing, so a caller
+/// may keep it across mutations of the cache that produced it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Subblocks {
+    first: u64,
+    count: u64,
+}
+
+impl Subblocks {
+    /// Subblock `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `i` is not below the subblock count.
+    #[inline]
+    pub fn get(self, i: usize) -> BlockId {
+        debug_assert!((i as u64) < self.count, "subblock {i} of {}", self.count);
+        BlockId(self.first + i as u64)
+    }
+
+    /// Whether `block` is one of these subblocks.
+    #[inline]
+    pub fn contains(self, block: BlockId) -> bool {
+        block.0.wrapping_sub(self.first) < self.count
+    }
+
+    /// The subblocks in address order.
+    #[inline]
+    pub fn iter(self) -> impl Iterator<Item = BlockId> {
+        (self.first..self.first + self.count).map(BlockId)
     }
 }
 
@@ -403,8 +482,17 @@ mod tests {
         assert_eq!(l1.block_in(BlockId::new(5), &l2), BlockId::new(2));
         assert_eq!(l2.subblock_index(&l1, BlockId::new(4)), 0);
         assert_eq!(l2.subblock_index(&l1, BlockId::new(5)), 1);
-        let subs: Vec<_> = l2.subblocks_of(&l1, BlockId::new(2)).collect();
-        assert_eq!(subs, vec![BlockId::new(4), BlockId::new(5)]);
+        let subs = l2.subblocks_of(&l1, BlockId::new(2));
+        assert_eq!(
+            subs.iter().collect::<Vec<_>>(),
+            vec![BlockId::new(4), BlockId::new(5)]
+        );
+        assert_eq!(
+            (subs.get(0), subs.get(1)),
+            (BlockId::new(4), BlockId::new(5))
+        );
+        assert!(subs.contains(BlockId::new(5)) && !subs.contains(BlockId::new(6)));
+        assert!(!subs.contains(BlockId::new(3)), "below the first subblock");
     }
 
     #[test]
@@ -422,6 +510,30 @@ mod tests {
         let l1 = CacheGeometry::direct_mapped(64, 32).unwrap();
         let l2 = CacheGeometry::direct_mapped(256, 16).unwrap();
         let _ = l2.subblocks_per_block(&l1);
+    }
+
+    #[test]
+    fn block_map_spreads_dense_and_strided_keys() {
+        use core::hash::BuildHasher;
+        let build = BuildHasherDefault::<BlockHasher>::default();
+        // 1024 keys, dense or at a 4 KiB-page stride of 16-byte blocks:
+        // the low 10 bits (a 1024-bucket table) must not collapse.
+        for stride in [1u64, 256] {
+            let buckets: std::collections::BTreeSet<u64> = (0..1024u64)
+                .map(|k| build.hash_one(BlockId::new(k * stride)) & 1023)
+                .collect();
+            assert!(
+                buckets.len() > 512,
+                "stride {stride}: only {} of 1024 buckets used",
+                buckets.len()
+            );
+        }
+        let mut map: BlockMap<u32> = BlockMap::default();
+        map.insert(BlockId::new(7), 1);
+        map.insert(BlockId::new(7 << 20), 2);
+        assert_eq!(map.get(&BlockId::new(7)), Some(&1));
+        assert_eq!(map.get(&BlockId::new(7 << 20)), Some(&2));
+        assert_eq!(map.get(&BlockId::new(8)), None);
     }
 
     #[test]

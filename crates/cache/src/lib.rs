@@ -10,7 +10,7 @@
 //! * [`geometry`] — validated cache geometry (total size, block size,
 //!   associativity) and the block/set/tag address split,
 //! * [`replacement`] — LRU / FIFO / Random / tree-PLRU replacement policies
-//!   with per-set state,
+//!   over flat, whole-cache state,
 //! * [`mod@array`] — a generic set-associative store ([`CacheArray<M>`]) whose
 //!   lines carry caller-defined metadata `M` (the V-cache stores r-pointers
 //!   and swapped-valid bits there, the R-cache stores inclusion subentries),
@@ -32,7 +32,7 @@ pub mod syndrome;
 pub mod write_buffer;
 
 pub use array::{CacheArray, FillOutcome, Line};
-pub use geometry::{BlockId, CacheGeometry};
+pub use geometry::{BlockId, BlockMap, CacheGeometry};
 pub use replacement::ReplacementPolicy;
 pub use stats::{AccessKind, CacheStats};
 pub use syndrome::{Codeword, Decode};

@@ -23,11 +23,9 @@
 //! differences are attributable to the missing second level, not to a
 //! strawman flush policy.
 
-use std::collections::HashMap;
-
-use vrcache_bus::oracle::{CoherenceViolation, Version, VersionOracle};
+use vrcache_bus::oracle::{CoherenceViolation, VersionOracle};
 use vrcache_bus::txn::{BusOp, BusTransaction};
-use vrcache_cache::geometry::{BlockId, CacheGeometry};
+use vrcache_cache::geometry::{BlockId, BlockMap, CacheGeometry, Subblocks};
 use vrcache_cache::stats::CacheStats;
 use vrcache_cache::syndrome::{Codeword, Decode};
 use vrcache_cache::write_buffer::WriteBufferStats;
@@ -55,14 +53,14 @@ pub struct GoodmanHierarchy {
     l1: VCache,
     /// The real directory: physical granule -> virtual block of the (sole)
     /// cached copy. In hardware this is the second, physical tag store.
-    reverse: HashMap<BlockId, BlockId>,
+    reverse: BlockMap<BlockId>,
     tlb: Tlb,
     events: HierarchyEvents,
     granule_geo: CacheGeometry,
     bus_geo: CacheGeometry,
     page: vrcache_mem::page::PageSize,
     /// Per-line exclusivity, tracked in the real directory's state bits.
-    private: HashMap<BlockId, bool>,
+    private: BlockMap<bool>,
     refs: u64,
     last_wb_at: Option<u64>,
     /// Modeled parity on the dual tag stores and the TLB.
@@ -106,13 +104,13 @@ impl GoodmanHierarchy {
         GoodmanHierarchy {
             cpu,
             l1: VCache::new(cfg.l1, cfg.l1_policy, cfg.seed ^ 0x9),
-            reverse: HashMap::new(),
+            reverse: BlockMap::default(),
             tlb: Tlb::new(cfg.tlb),
             events: HierarchyEvents::default(),
             granule_geo: cfg.l1,
             bus_geo: cfg.l2,
             page: cfg.page,
-            private: HashMap::new(),
+            private: BlockMap::default(),
             refs: 0,
             last_wb_at: None,
             parity: cfg.parity,
@@ -137,10 +135,8 @@ impl GoodmanHierarchy {
         self.granule_geo.block_in(p1, &self.bus_geo)
     }
 
-    fn granules_of(&self, bus_block: BlockId) -> Vec<BlockId> {
-        self.bus_geo
-            .subblocks_of(&self.granule_geo, bus_block)
-            .collect()
+    fn granules_of(&self, bus_block: BlockId) -> Subblocks {
+        self.bus_geo.subblocks_of(&self.granule_geo, bus_block)
     }
 
     fn subblocks(&self) -> u32 {
@@ -597,9 +593,7 @@ impl CacheHierarchy for GoodmanHierarchy {
             debug_assert!(false, "update protocol is a V-R-only configuration");
             return reply;
         }
-        let granules = self.granules_of(txn.block);
-        let mut supplied: Vec<(BlockId, Version)> = Vec::new();
-        for g in granules {
+        for g in self.granules_of(txn.block).iter() {
             let Some(vblock) = self.reverse.get(&g).copied() else {
                 continue;
             };
@@ -617,7 +611,10 @@ impl CacheHierarchy for GoodmanHierarchy {
                         self.events.flush_v += 1;
                         reply.l1_messages += 1;
                         line.meta.dirty = false;
-                        supplied.push((g, line.meta.version));
+                        reply
+                            .supplied
+                            .get_or_insert_default()
+                            .push((g, line.meta.version));
                     }
                 }
                 BusOp::Invalidate | BusOp::ReadModifiedWrite => {
@@ -629,7 +626,10 @@ impl CacheHierarchy for GoodmanHierarchy {
                     if txn.op == BusOp::ReadModifiedWrite && line.meta.dirty {
                         self.events.flush_v += 1;
                         reply.l1_messages += 1;
-                        supplied.push((g, line.meta.version));
+                        reply
+                            .supplied
+                            .get_or_insert_default()
+                            .push((g, line.meta.version));
                     }
                     self.events.inval_v += 1;
                     reply.l1_messages += 1;
@@ -639,9 +639,6 @@ impl CacheHierarchy for GoodmanHierarchy {
                 BusOp::WriteBack | BusOp::Update => unreachable!("handled above"),
             }
         }
-        if !supplied.is_empty() {
-            reply.supplied = Some(supplied);
-        }
         reply
     }
 
@@ -650,7 +647,7 @@ impl CacheHierarchy for GoodmanHierarchy {
         // granularity the snooper sees: exclusive if any granule is held
         // private, present if any granule is cached at all.
         let mut present = false;
-        for g in self.granules_of(block) {
+        for g in self.granules_of(block).iter() {
             if self.reverse.contains_key(&g) {
                 present = true;
                 if self.granule_private(g) {

@@ -310,7 +310,7 @@ pub fn check(view: &HierarchyView<'_>) -> Result<(), InvariantViolation> {
                         v_block: sub.v_block,
                     });
                 };
-                if child.meta.p_block != granules[i] {
+                if child.meta.p_block != granules.get(i) {
                     return Err(InvariantViolation::VPointerWrongGranule {
                         r_block: rline.block,
                         sub: i,
@@ -323,7 +323,7 @@ pub fn check(view: &HierarchyView<'_>) -> Result<(), InvariantViolation> {
                     sub: i,
                 });
             }
-            if sub.buffer && !view.wb.contains(granules[i]) {
+            if sub.buffer && !view.wb.contains(granules.get(i)) {
                 return Err(InvariantViolation::BufferBitWithoutEntry {
                     r_block: rline.block,
                     sub: i,

@@ -9,7 +9,7 @@
 
 use vrcache_bus::oracle::Version;
 use vrcache_cache::array::{CacheArray, FillOutcome, Line};
-use vrcache_cache::geometry::{BlockId, CacheGeometry};
+use vrcache_cache::geometry::{BlockId, CacheGeometry, Subblocks};
 use vrcache_cache::replacement::ReplacementPolicy;
 use vrcache_cache::stats::CacheStats;
 
@@ -161,12 +161,10 @@ impl RCache {
         self.array.geometry().subblock_index(&self.l1geo, p1) as usize
     }
 
-    /// The granule block ids of L2 block `p2`, in subentry order.
-    pub fn granules_of(&self, p2: BlockId) -> Vec<BlockId> {
-        self.array
-            .geometry()
-            .subblocks_of(&self.l1geo, p2)
-            .collect()
+    /// The granule block ids of L2 block `p2`, in subentry order:
+    /// granule `i` is the first-level physical block subentry `i` covers.
+    pub fn granules_of(&self, p2: BlockId) -> Subblocks {
+        self.array.geometry().subblocks_of(&self.l1geo, p2)
     }
 
     /// Looks up L2 block `p2`, refreshing replacement state.
@@ -236,7 +234,7 @@ mod tests {
         assert_eq!(r.sub_index(BlockId::new(5)), 1);
         assert_eq!(r.sub_index(BlockId::new(4)), 0);
         assert_eq!(
-            r.granules_of(BlockId::new(2)),
+            r.granules_of(BlockId::new(2)).iter().collect::<Vec<_>>(),
             vec![BlockId::new(4), BlockId::new(5)]
         );
     }

@@ -220,7 +220,7 @@ impl RrHierarchy {
                 if sub.buffer {
                     let e = self
                         .wb
-                        .force_complete(granules[i])
+                        .force_complete(granules.get(i))
                         .invariant_expect("buffer bit implies a pending write");
                     sub.version = e.payload;
                     sub.buffer = false;
@@ -250,7 +250,7 @@ impl RrHierarchy {
                 granules: granules
                     .iter()
                     .zip(meta.subs.iter())
-                    .map(|(g, s)| (*g, s.version))
+                    .map(|(g, s)| (g, s.version))
                     .collect(),
             });
         }
@@ -334,7 +334,7 @@ impl RrHierarchy {
                         reply.l1_messages += 1;
                         let l1_line = self
                             .l1
-                            .peek_mut(granules[i])
+                            .peek_mut(granules.get(i))
                             .invariant_expect("vdirty implies an L1 child");
                         debug_assert!(l1_line.meta.dirty);
                         l1_line.meta.dirty = false;
@@ -346,7 +346,7 @@ impl RrHierarchy {
                         reply.l1_messages += 1;
                         let e = self
                             .wb
-                            .coherence_take(granules[i])
+                            .coherence_take(granules.get(i))
                             .invariant_expect("buffer bit implies a pending write");
                         upstream.push((i, e.payload));
                     }
@@ -354,7 +354,7 @@ impl RrHierarchy {
             }
         } else {
             for (i, g) in granules.iter().enumerate() {
-                if let Some(l1_line) = self.l1.peek_mut(*g) {
+                if let Some(l1_line) = self.l1.peek_mut(g) {
                     reply.has_copy = true;
                     l1_line.meta.private = false;
                     if l1_line.meta.dirty {
@@ -362,7 +362,7 @@ impl RrHierarchy {
                         upstream.push((i, l1_line.meta.version));
                     }
                 }
-                if let Some(e) = self.wb.coherence_take(*g) {
+                if let Some(e) = self.wb.coherence_take(g) {
                     upstream.push((i, e.payload));
                 }
             }
@@ -374,7 +374,7 @@ impl RrHierarchy {
                 reply.supplied = Some(
                     upstream
                         .into_iter()
-                        .map(|(i, v)| (granules[i], v))
+                        .map(|(i, v)| (granules.get(i), v))
                         .collect(),
                 );
             }
@@ -395,7 +395,7 @@ impl RrHierarchy {
                 granules
                     .iter()
                     .zip(line.meta.subs.iter())
-                    .map(|(g, s)| (*g, s.version))
+                    .map(|(g, s)| (g, s.version))
                     .collect(),
             );
         }
@@ -418,7 +418,7 @@ impl RrHierarchy {
                     if sub.buffer {
                         self.events.inval_buffer += 1;
                         reply.l1_messages += 1;
-                        let taken = self.wb.coherence_take(granules[i]);
+                        let taken = self.wb.coherence_take(granules.get(i));
                         debug_assert!(taken.is_some());
                     }
                 }
@@ -427,11 +427,11 @@ impl RrHierarchy {
             if self.l2.invalidate(p2).is_some() {
                 reply.has_copy = true;
             }
-            for g in &granules {
-                if self.l1.invalidate(*g).is_some() {
+            for g in granules.iter() {
+                if self.l1.invalidate(g).is_some() {
                     reply.has_copy = true;
                 }
-                let _ = self.wb.coherence_take(*g);
+                let _ = self.wb.coherence_take(g);
             }
         }
         reply
@@ -526,11 +526,11 @@ impl RrHierarchy {
     fn scrub_l2_line(&mut self, kind: FaultKind, p2: BlockId) {
         let granules = self.l2.granules_of(p2);
         let mut lost_dirty = false;
-        for g in &granules {
-            if let Some(line) = self.l1.invalidate(*g) {
+        for g in granules.iter() {
+            if let Some(line) = self.l1.invalidate(g) {
                 lost_dirty |= line.meta.dirty;
             }
-            lost_dirty |= self.wb.coherence_take(*g).is_some();
+            lost_dirty |= self.wb.coherence_take(g).is_some();
         }
         if let Some(line) = self.l2.invalidate(p2) {
             lost_dirty |= line.meta.rdirty;
@@ -1055,13 +1055,13 @@ impl CacheHierarchy for RrHierarchy {
             for rline in self.l2.iter() {
                 let granules = self.l2.granules_of(rline.block);
                 for (i, sub) in rline.meta.subs.iter().enumerate() {
-                    if sub.inclusion && self.l1.peek(granules[i]).is_none() {
+                    if sub.inclusion && self.l1.peek(granules.get(i)).is_none() {
                         return Err(InvariantViolation::other(format!(
                             "L2 line {:?} sub {i}: dangling inclusion bit",
                             rline.block
                         )));
                     }
-                    if sub.buffer && !self.wb.contains(granules[i]) {
+                    if sub.buffer && !self.wb.contains(granules.get(i)) {
                         return Err(InvariantViolation::other(format!(
                             "L2 line {:?} sub {i}: dangling buffer bit",
                             rline.block

@@ -311,7 +311,7 @@ impl VrHierarchy {
             if sub.buffer {
                 let e = self
                     .wb
-                    .force_complete(granules[i])
+                    .force_complete(granules.get(i))
                     .invariant_expect("buffer bit implies a pending write");
                 sub.version = e.payload;
                 sub.buffer = false;
@@ -325,7 +325,7 @@ impl VrHierarchy {
                     .front_mut(sub.child)
                     .invalidate(sub.v_block)
                     .invariant_expect("inclusion bit implies a V-cache child");
-                debug_assert_eq!(line.meta.p_block, granules[i]);
+                debug_assert_eq!(line.meta.p_block, granules.get(i));
                 if line.meta.dirty {
                     sub.version = line.meta.version;
                     meta.rdirty = true;
@@ -341,7 +341,7 @@ impl VrHierarchy {
                 granules: granules
                     .iter()
                     .zip(meta.subs.iter())
-                    .map(|(g, s)| (*g, s.version))
+                    .map(|(g, s)| (g, s.version))
                     .collect(),
             });
         }
@@ -520,7 +520,7 @@ impl VrHierarchy {
             reply.l1_messages += 1;
             let e = self
                 .wb
-                .coherence_take(granules[i])
+                .coherence_take(granules.get(i))
                 .invariant_expect("buffer bit implies a pending write");
             let line = self.l2.peek_mut(p2).invariant_expect("resident");
             line.meta.subs[i].version = e.payload;
@@ -535,7 +535,7 @@ impl VrHierarchy {
                 granules
                     .iter()
                     .zip(line.meta.subs.iter())
-                    .map(|(g, s)| (*g, s.version))
+                    .map(|(g, s)| (g, s.version))
                     .collect(),
             );
         }
@@ -610,7 +610,7 @@ impl VrHierarchy {
             if sub.buffer {
                 self.events.inval_buffer += 1;
                 reply.l1_messages += 1;
-                let taken = self.wb.coherence_take(granules[i]);
+                let taken = self.wb.coherence_take(granules.get(i));
                 debug_assert!(taken.is_some(), "buffer bit implies a pending write");
             }
         }
@@ -1184,7 +1184,7 @@ impl VrHierarchy {
             let keys: Vec<BlockId> = self
                 .front(child)
                 .iter()
-                .filter(|l| granules.contains(&l.meta.p_block))
+                .filter(|l| granules.contains(l.meta.p_block))
                 .map(|l| l.block)
                 .collect();
             for k in keys {
@@ -1193,8 +1193,8 @@ impl VrHierarchy {
                 }
             }
         }
-        for g in &granules {
-            lost_dirty |= self.wb.coherence_take(*g).is_some();
+        for g in granules.iter() {
+            lost_dirty |= self.wb.coherence_take(g).is_some();
         }
         if let Some(line) = self.l2.invalidate(p2) {
             lost_dirty |= line.meta.rdirty;

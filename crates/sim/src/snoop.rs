@@ -24,6 +24,7 @@ use vrcache_mem::access::CpuId;
 /// `before` is the snooping hierarchy's [`BlockPresence`] on the
 /// transaction's block sampled immediately before the snoop is serviced —
 /// the row of the coherence transition table the snooper is about to take.
+/// The bus samples it only when an observer is attached.
 pub trait SnoopObserver {
     /// Called once per (transaction, snooping hierarchy) pair.
     fn on_snoop(
@@ -85,11 +86,18 @@ impl<'a, H: CacheHierarchy + ?Sized> SnoopingBus<'a, H> {
         let mut shared = false;
         let mut supplied: Option<Vec<(BlockId, Version)>> = None;
         for h in self.others.iter_mut().flatten() {
-            let before = h.coh_presence(txn.block);
-            let reply = h.snoop(txn);
-            if let Some(obs) = self.observer.as_deref_mut() {
-                obs.on_snoop(h.cpu(), before, txn, &reply);
-            }
+            // The pre-snoop presence is for the observer alone: without
+            // one, a snoop that finds nothing costs only the snooper's
+            // own tag compare.
+            let reply = match self.observer.as_deref_mut() {
+                Some(obs) => {
+                    let before = h.coh_presence(txn.block);
+                    let reply = h.snoop(txn);
+                    obs.on_snoop(h.cpu(), before, txn, &reply);
+                    reply
+                }
+                None => h.snoop(txn),
+            };
             shared |= reply.has_copy;
             if let Some(s) = reply.supplied {
                 debug_assert!(supplied.is_none(), "two owners supplied the same block");

@@ -13,7 +13,7 @@
 
 use core::fmt;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use vrcache_mem::access::{AccessKind, CpuId};
 use vrcache_mem::addr::{Asid, PhysAddr, VirtAddr};
 use vrcache_mem::page::PageSize;
@@ -122,74 +122,50 @@ pub fn encode(trace: &Trace) -> Bytes {
 /// # Errors
 ///
 /// Returns a [`CodecError`] on bad magic, an unsupported version, a
-/// truncated buffer, or invalid field values.
-pub fn decode(mut buf: &[u8]) -> Result<Trace, CodecError> {
-    fn need(buf: &[u8], n: usize) -> Result<(), CodecError> {
-        if buf.remaining() < n {
-            Err(CodecError::Truncated)
-        } else {
-            Ok(())
-        }
+/// truncated buffer, or invalid field values — the same error the
+/// streaming [`Decoder`] reports for the same bytes.
+pub fn decode(buf: &[u8]) -> Result<Trace, CodecError> {
+    let mut decoder = Decoder::new(buf)?;
+    // `Decoder::new` has checked the count against the buffer length, so
+    // a corrupt count cannot request a huge allocation here.
+    let mut events = Vec::with_capacity(decoder.remaining() as usize);
+    for event in &mut decoder {
+        events.push(event?);
     }
-
-    need(buf, 4)?;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    need(buf, 2 + 2 + 8 + 2)?;
-    let version = buf.get_u16_le();
-    if version != VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let cpus = buf.get_u16_le();
-    let page_bytes = buf.get_u64_le();
-    let page = PageSize::new(page_bytes).map_err(|_| CodecError::Corrupt("page size"))?;
-    let name_len = buf.get_u16_le() as usize;
-    need(buf, name_len)?;
-    let mut name_bytes = vec![0u8; name_len];
-    buf.copy_to_slice(&mut name_bytes);
-    let name = String::from_utf8(name_bytes).map_err(|_| CodecError::Corrupt("name"))?;
-    need(buf, 8)?;
-    let count = buf.get_u64_le() as usize;
-    // Every event occupies at least 7 bytes, so a count larger than the
-    // remaining buffer is certainly truncated (and must not be trusted for
-    // pre-allocation — a corrupt count would otherwise request terabytes).
-    if count > buf.remaining() {
-        return Err(CodecError::Truncated);
-    }
-    let mut events = Vec::with_capacity(count);
-    for _ in 0..count {
-        need(buf, 1)?;
-        match buf.get_u8() {
-            TAG_ACCESS => {
-                need(buf, 2 + 2 + 1 + 8 + 8)?;
-                let cpu = CpuId::new(buf.get_u16_le());
-                let asid = Asid::new(buf.get_u16_le());
-                let kind = kind_from_u8(buf.get_u8()).ok_or(CodecError::Corrupt("access kind"))?;
-                let vaddr = VirtAddr::new(buf.get_u64_le());
-                let paddr = PhysAddr::new(buf.get_u64_le());
-                events.push(TraceEvent::Access(MemAccess {
-                    cpu,
-                    asid,
-                    kind,
-                    vaddr,
-                    paddr,
-                }));
-            }
-            TAG_SWITCH => {
-                need(buf, 6)?;
-                let cpu = CpuId::new(buf.get_u16_le());
-                let from = Asid::new(buf.get_u16_le());
-                let to = Asid::new(buf.get_u16_le());
-                events.push(TraceEvent::ContextSwitch { cpu, from, to });
-            }
-            _ => return Err(CodecError::Corrupt("event tag")),
-        }
-    }
+    let Decoder {
+        name, cpus, page, ..
+    } = decoder;
     Ok(Trace::new(name, cpus, page, events))
 }
+
+/// Splits the next `N` bytes off the front of `buf`.
+#[inline]
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], CodecError> {
+    let (head, rest) = buf.split_first_chunk::<N>().ok_or(CodecError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
+}
+
+/// The little-endian `u16` at byte `at` of a fixed-width record.
+#[inline]
+fn u16_at<const N: usize>(rec: &[u8; N], at: usize) -> u16 {
+    u16::from_le_bytes([rec[at], rec[at + 1]])
+}
+
+/// The little-endian `u64` at byte `at` of a fixed-width record.
+#[inline]
+fn u64_at<const N: usize>(rec: &[u8; N], at: usize) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&rec[at..at + 8]);
+    u64::from_le_bytes(word)
+}
+
+/// Fixed header after the magic: version, cpus, page bytes, name length.
+const HEADER_BYTES: usize = 2 + 2 + 8 + 2;
+/// An access record after its tag: cpu, asid, kind, vaddr, paddr.
+const ACCESS_BYTES: usize = 2 + 2 + 1 + 8 + 8;
+/// A context-switch record after its tag: cpu, from, to.
+const SWITCH_BYTES: usize = 2 + 2 + 2;
 
 /// A streaming decoder: iterates events without materializing the whole
 /// trace, for replaying large stored traces with bounded memory.
@@ -227,35 +203,30 @@ impl<'a> Decoder<'a> {
     ///
     /// Returns a [`CodecError`] for a bad header.
     pub fn new(mut buf: &'a [u8]) -> Result<Self, CodecError> {
-        fn need(buf: &[u8], n: usize) -> Result<(), CodecError> {
-            if buf.remaining() < n {
-                Err(CodecError::Truncated)
-            } else {
-                Ok(())
-            }
-        }
-        need(buf, 4)?;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+        if take::<4>(&mut buf)? != *MAGIC {
             return Err(CodecError::BadMagic);
         }
-        need(buf, 2 + 2 + 8 + 2)?;
-        let version = buf.get_u16_le();
+        let header = take::<HEADER_BYTES>(&mut buf)?;
+        let version = u16_at(&header, 0);
         if version != VERSION {
             return Err(CodecError::UnsupportedVersion(version));
         }
-        let cpus = buf.get_u16_le();
-        let page_bytes = buf.get_u64_le();
-        let page = PageSize::new(page_bytes).map_err(|_| CodecError::Corrupt("page size"))?;
-        let name_len = buf.get_u16_le() as usize;
-        need(buf, name_len)?;
-        let mut name_bytes = vec![0u8; name_len];
-        buf.copy_to_slice(&mut name_bytes);
-        let name = String::from_utf8(name_bytes).map_err(|_| CodecError::Corrupt("name"))?;
-        need(buf, 8)?;
-        let remaining = buf.get_u64_le();
-        if remaining > buf.remaining() as u64 {
+        let cpus = u16_at(&header, 2);
+        let page =
+            PageSize::new(u64_at(&header, 4)).map_err(|_| CodecError::Corrupt("page size"))?;
+        let name_len = usize::from(u16_at(&header, 12));
+        let (name_bytes, rest) = buf
+            .split_at_checked(name_len)
+            .ok_or(CodecError::Truncated)?;
+        let name =
+            String::from_utf8(name_bytes.to_vec()).map_err(|_| CodecError::Corrupt("name"))?;
+        buf = rest;
+        let remaining = u64::from_le_bytes(take::<8>(&mut buf)?);
+        // Every event occupies at least 7 bytes, so a count larger than
+        // the remaining buffer is certainly truncated (and must not be
+        // trusted for pre-allocation — a corrupt count would otherwise
+        // request terabytes).
+        if remaining > buf.len() as u64 {
             return Err(CodecError::Truncated);
         }
         Ok(Decoder {
@@ -288,38 +259,29 @@ impl<'a> Decoder<'a> {
         self.remaining
     }
 
+    /// Decodes one event: a tag byte, then one fixed-width record split
+    /// off with a single length check.
     fn next_event(&mut self) -> Result<TraceEvent, CodecError> {
-        fn need(buf: &[u8], n: usize) -> Result<(), CodecError> {
-            if buf.remaining() < n {
-                Err(CodecError::Truncated)
-            } else {
-                Ok(())
-            }
-        }
-        need(self.buf, 1)?;
-        match self.buf.get_u8() {
+        let [tag] = take::<1>(&mut self.buf)?;
+        match tag {
             TAG_ACCESS => {
-                need(self.buf, 2 + 2 + 1 + 8 + 8)?;
-                let cpu = CpuId::new(self.buf.get_u16_le());
-                let asid = Asid::new(self.buf.get_u16_le());
-                let kind =
-                    kind_from_u8(self.buf.get_u8()).ok_or(CodecError::Corrupt("access kind"))?;
-                let vaddr = VirtAddr::new(self.buf.get_u64_le());
-                let paddr = PhysAddr::new(self.buf.get_u64_le());
+                let rec = take::<ACCESS_BYTES>(&mut self.buf)?;
+                let kind = kind_from_u8(rec[4]).ok_or(CodecError::Corrupt("access kind"))?;
                 Ok(TraceEvent::Access(MemAccess {
-                    cpu,
-                    asid,
+                    cpu: CpuId::new(u16_at(&rec, 0)),
+                    asid: Asid::new(u16_at(&rec, 2)),
                     kind,
-                    vaddr,
-                    paddr,
+                    vaddr: VirtAddr::new(u64_at(&rec, 5)),
+                    paddr: PhysAddr::new(u64_at(&rec, 13)),
                 }))
             }
             TAG_SWITCH => {
-                need(self.buf, 6)?;
-                let cpu = CpuId::new(self.buf.get_u16_le());
-                let from = Asid::new(self.buf.get_u16_le());
-                let to = Asid::new(self.buf.get_u16_le());
-                Ok(TraceEvent::ContextSwitch { cpu, from, to })
+                let rec = take::<SWITCH_BYTES>(&mut self.buf)?;
+                Ok(TraceEvent::ContextSwitch {
+                    cpu: CpuId::new(u16_at(&rec, 0)),
+                    from: Asid::new(u16_at(&rec, 2)),
+                    to: Asid::new(u16_at(&rec, 4)),
+                })
             }
             _ => Err(CodecError::Corrupt("event tag")),
         }
