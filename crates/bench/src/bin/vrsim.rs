@@ -7,9 +7,10 @@
 //! vrsim run [--trace-file f.vrt | --preset pops --scale 0.05]
 //!           [--kind vr|rr|rr-noincl|goodman] [--l1 16384] [--l2 262144]
 //!           [--block 16] [--split] [--write-through] [--eager-flush]
-//!           [--asid-tags]
+//!           [--asid-tags] [--update-protocol] [--drain N]
 //!     Replay a trace on a system and print hit ratios, bus traffic and
-//!     per-CPU events.
+//!     per-CPU events. A configuration the chosen organization does not
+//!     model is rejected with an error before any trace is loaded.
 //!
 //! vrsim inspect [--trace-file f.vrt | --preset pops --scale 0.05]
 //!     Print trace characteristics and locality curves.
@@ -99,17 +100,19 @@ fn load_trace(flags: &HashMap<String, String>) -> Result<Trace, String> {
     Ok(preset.generate_scaled(scale))
 }
 
+/// The numeric flag `--k`, or `default` when it is absent.
+fn number(flags: &HashMap<String, String>, k: &str, default: u64) -> Result<u64, String> {
+    flags
+        .get(k)
+        .map(|s| s.parse().map_err(|_| format!("bad --{k}: {s}")))
+        .transpose()
+        .map(|v| v.unwrap_or(default))
+}
+
 fn config_of(flags: &HashMap<String, String>) -> Result<HierarchyConfig, String> {
-    let get = |k: &str, default: u64| -> Result<u64, String> {
-        flags
-            .get(k)
-            .map(|s| s.parse().map_err(|_| format!("bad --{k}: {s}")))
-            .transpose()
-            .map(|v| v.unwrap_or(default))
-    };
-    let l1 = get("l1", 16 * 1024)?;
-    let l2 = get("l2", 256 * 1024)?;
-    let block = get("block", 16)?;
+    let l1 = number(flags, "l1", 16 * 1024)?;
+    let l2 = number(flags, "l2", 256 * 1024)?;
+    let block = number(flags, "block", 16)?;
     let mut cfg = HierarchyConfig::direct_mapped(l1, l2, block)
         .map_err(|e| format!("invalid geometry: {e}"))?;
     if flags.contains_key("split") {
@@ -149,7 +152,6 @@ fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
-    let trace = load_trace(flags)?;
     let cfg = config_of(flags)?;
     let kind = match flags.get("kind").map(String::as_str).unwrap_or("vr") {
         "vr" => HierarchyKind::Vr,
@@ -158,6 +160,8 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
         "goodman" => HierarchyKind::GoodmanSingleLevel,
         k => return Err(format!("unknown kind: {k}")),
     };
+    kind.supports(&cfg).map_err(|e| e.to_string())?;
+    let trace = load_trace(flags)?;
     let mut sys = System::new(kind, trace.cpus(), &cfg);
     let run = sys
         .run_trace(&trace)
@@ -191,11 +195,14 @@ fn cmd_inspect(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_layout(flags: &HashMap<String, String>) -> Result<(), String> {
-    let get = |k: &str, d: u64| -> u64 { flags.get(k).and_then(|s| s.parse().ok()).unwrap_or(d) };
-    let l1 = CacheGeometry::direct_mapped(get("l1", 16 * 1024), get("block", 16))
+    let block = number(flags, "block", 16)?;
+    let l1 = CacheGeometry::direct_mapped(number(flags, "l1", 16 * 1024)?, block)
         .map_err(|e| e.to_string())?;
-    let l2 = CacheGeometry::direct_mapped(get("l2", 256 * 1024), get("block2", get("block", 16)))
-        .map_err(|e| e.to_string())?;
+    let l2 = CacheGeometry::direct_mapped(
+        number(flags, "l2", 256 * 1024)?,
+        number(flags, "block2", block)?,
+    )
+    .map_err(|e| e.to_string())?;
     let page = PageSize::SIZE_4K;
     let t = TagLayout::compute(32, page, &l1, &l2);
     println!("{t}");

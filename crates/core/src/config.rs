@@ -1,5 +1,6 @@
 //! Hierarchy configuration.
 
+use core::fmt;
 use std::num::NonZeroU64;
 
 use serde::{Deserialize, Serialize};
@@ -120,6 +121,29 @@ impl DataProtection {
         }
     }
 }
+
+/// A configuration an organization does not model, as reported by each
+/// organization's `supports` check (for example
+/// [`VrHierarchy::supports`](crate::vr::VrHierarchy::supports)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Unsupported {
+    /// The organization that rejects the configuration.
+    pub organization: &'static str,
+    /// The configured feature it does not model.
+    pub feature: &'static str,
+}
+
+impl fmt::Display for Unsupported {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} is not modeled by {}",
+            self.feature, self.organization
+        )
+    }
+}
+
+impl std::error::Error for Unsupported {}
 
 /// Configuration shared by the V-R hierarchy and the R-R baselines.
 ///
@@ -383,6 +407,61 @@ impl HierarchyConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn organizations_reject_exactly_what_they_do_not_model() {
+        use crate::goodman::GoodmanHierarchy;
+        use crate::rr::{InclusionMode, RrHierarchy};
+        use crate::vr::VrHierarchy;
+        use vrcache_mem::access::CpuId;
+
+        let base = HierarchyConfig::direct_mapped(1024, 16 * 1024, 16).unwrap();
+        let variants = [
+            ("default", base.clone()),
+            ("split", base.clone().with_split_l1()),
+            ("write-through", base.clone().with_write_through()),
+            ("eager-flush", base.clone().with_eager_flush()),
+            ("asid-tags", base.clone().with_asid_tags()),
+            ("update", base.clone().with_update_protocol()),
+            (
+                "update+write-through",
+                base.clone().with_update_protocol().with_write_through(),
+            ),
+        ];
+        type Supports = fn(&HierarchyConfig) -> Result<(), Unsupported>;
+        type Build = fn(&HierarchyConfig);
+        let table: [(&str, Supports, Build, [bool; 7]); 3] = [
+            (
+                "vr",
+                VrHierarchy::supports,
+                |c| drop(VrHierarchy::new(CpuId::new(0), c)),
+                [true, true, true, true, true, true, false],
+            ),
+            (
+                "rr",
+                RrHierarchy::supports,
+                |c| drop(RrHierarchy::new(CpuId::new(0), c, InclusionMode::Inclusive)),
+                [true, false, false, true, true, false, false],
+            ),
+            (
+                "goodman",
+                GoodmanHierarchy::supports,
+                |c| drop(GoodmanHierarchy::new(CpuId::new(0), c)),
+                [true, false, false, false, false, false, false],
+            ),
+        ];
+        for (org, supports, build, row) in table {
+            for ((name, cfg), modeled) in variants.iter().zip(row) {
+                let verdict = supports(cfg);
+                assert_eq!(verdict.is_ok(), modeled, "{org} {name}");
+                if let Err(e) = verdict {
+                    assert!(e.to_string().contains("is not modeled by"), "{org}: {e}");
+                }
+                let built = std::panic::catch_unwind(|| build(cfg));
+                assert_eq!(built.is_ok(), modeled, "{org} {name}: constructor agrees");
+            }
+        }
+    }
 
     #[test]
     fn paper_default_shape() {

@@ -23,11 +23,10 @@
 //! differences are attributable to the missing second level, not to a
 //! strawman flush policy.
 
-use vrcache_bus::oracle::{CoherenceViolation, VersionOracle};
+use vrcache_bus::oracle::{CoherenceViolation, Version, VersionOracle};
 use vrcache_bus::txn::{BusOp, BusTransaction};
 use vrcache_cache::geometry::{BlockId, BlockMap, CacheGeometry, Subblocks};
 use vrcache_cache::stats::CacheStats;
-use vrcache_cache::syndrome::{Codeword, Decode};
 use vrcache_cache::write_buffer::WriteBufferStats;
 use vrcache_mem::access::CpuId;
 use vrcache_mem::addr::{Asid, Vpn};
@@ -35,11 +34,15 @@ use vrcache_mem::tlb::Tlb;
 use vrcache_trace::record::MemAccess;
 
 use crate::bus_api::{BusRequest, SnoopReply, SystemBus};
-use crate::config::{DataProtection, HierarchyConfig};
+use crate::config::{
+    CoherenceProtocol, ContextSwitchPolicy, HierarchyConfig, L1Organization, L1WritePolicy,
+    Unsupported,
+};
 use crate::events::HierarchyEvents;
-use crate::fault::{self, FaultKind, FaultPort, FaultRecord, Poison};
+use crate::fault::{self, FaultKind, FaultPort, FaultRecord, Poison, PoisonLog, Scrub};
 use crate::hierarchy::{AccessOutcome, BlockPresence, CacheHierarchy, SynonymKind};
 use crate::invariant::{InvariantExpect, InvariantViolation};
+use crate::rcache::{ChildCache, RCache};
 use crate::vcache::{VCache, VMeta};
 
 /// Goodman-style single-level dual-tag virtual cache.
@@ -63,44 +66,47 @@ pub struct GoodmanHierarchy {
     private: BlockMap<bool>,
     refs: u64,
     last_wb_at: Option<u64>,
-    /// Modeled parity on the dual tag stores and the TLB.
-    parity: bool,
-    /// Modeled protection on the data array.
-    data_protection: DataProtection,
-    /// Outstanding parity syndromes, scrubbed at the next operation.
-    poison: Vec<Poison>,
+    /// Modeled parity (on the dual tag stores and the TLB) and data
+    /// protection, with the outstanding syndromes.
+    faults: PoisonLog,
 }
 
 impl GoodmanHierarchy {
+    /// Checks that the single-level scheme models `cfg`: it always uses
+    /// a unified write-back cache with the swapped-valid switch handling
+    /// (the kindest reading of the scheme) and the invalidation protocol.
+    ///
+    /// # Errors
+    ///
+    /// [`Unsupported`] for a split or write-through cache, any other
+    /// context-switch policy, or the update protocol.
+    pub fn supports(cfg: &HierarchyConfig) -> Result<(), Unsupported> {
+        let feature = if cfg.l1_org != L1Organization::Unified {
+            "a split cache"
+        } else if cfg.l1_write_policy != L1WritePolicy::WriteBack {
+            "a write-through cache"
+        } else if cfg.context_switch_policy != ContextSwitchPolicy::SwappedValid {
+            "context-switch handling other than swapped-valid"
+        } else if cfg.protocol != CoherenceProtocol::Invalidation {
+            "the update protocol"
+        } else {
+            return Ok(());
+        };
+        Err(Unsupported {
+            organization: "the single-level scheme",
+            feature,
+        })
+    }
+
     /// Builds the single-level hierarchy for `cpu`.
     ///
     /// # Panics
     ///
-    /// Panics for configurations the single-level scheme does not model
-    /// (split or write-through first level, non-default context-switch
-    /// policies) — it always uses a unified write-back cache with the
-    /// swapped-valid switch handling, the kindest reading of the scheme.
+    /// Panics if [`supports`](Self::supports) rejects `cfg`.
     pub fn new(cpu: CpuId, cfg: &HierarchyConfig) -> Self {
-        assert_eq!(
-            cfg.l1_org,
-            crate::config::L1Organization::Unified,
-            "the single-level scheme models a unified cache"
-        );
-        assert_eq!(
-            cfg.l1_write_policy,
-            crate::config::L1WritePolicy::WriteBack,
-            "the single-level scheme models a write-back cache"
-        );
-        assert_eq!(
-            cfg.context_switch_policy,
-            crate::config::ContextSwitchPolicy::SwappedValid,
-            "the single-level scheme uses swapped-valid switch handling"
-        );
-        assert_eq!(
-            cfg.protocol,
-            crate::config::CoherenceProtocol::Invalidation,
-            "the single-level scheme implements the invalidation protocol only"
-        );
+        if let Err(e) = Self::supports(cfg) {
+            panic!("{e}");
+        }
         GoodmanHierarchy {
             cpu,
             l1: VCache::new(cfg.l1, cfg.l1_policy, cfg.seed ^ 0x9),
@@ -113,9 +119,7 @@ impl GoodmanHierarchy {
             private: BlockMap::default(),
             refs: 0,
             last_wb_at: None,
-            parity: cfg.parity,
-            data_protection: cfg.data_protection,
-            poison: Vec::new(),
+            faults: PoisonLog::new(cfg),
         }
     }
 
@@ -180,189 +184,74 @@ impl GoodmanHierarchy {
     }
 }
 
-// ---- modeled parity: fault injection, detection and recovery ----
-impl GoodmanHierarchy {
-    /// Detects and recovers outstanding parity syndromes at the entry of
-    /// every public operation (no-op when parity is off).
-    fn scrub_poison(&mut self) {
-        if self.poison.is_empty() {
-            return;
-        }
-        let poisons = std::mem::take(&mut self.poison);
-        for p in poisons {
-            match p {
-                Poison::L1Line { kind, key, .. } => self.scrub_line(kind, key),
-                Poison::L2Line { p2: granule, .. } => {
-                    // The real directory's state bit faulted: demoting to
-                    // shared is always safe (the next write re-arbitrates
-                    // for exclusivity over the bus).
-                    if self.reverse.contains_key(&granule) {
-                        self.private.insert(granule, false);
-                    }
-                    self.events.parity_refetches += 1;
-                }
-                Poison::TlbEntry { asid, vpn } => {
-                    self.tlb.flush_asid_vpn(asid, vpn);
-                    self.events.parity_refetches += 1;
-                }
-                Poison::L1Data { key, stored, .. } => self.scrub_data(key, stored),
-                // There is no write buffer and no second-level data
-                // array in the single-level scheme, so no injection
-                // ever records these syndromes.
-                Poison::WbEntry { .. } => {}
-                Poison::L2Data { .. } => {}
-            }
-        }
+// ---- modeled parity: structural repair and the injection table ----
+impl Scrub for GoodmanHierarchy {
+    fn fault_parts(&mut self) -> (&mut PoisonLog, &mut HierarchyEvents, &mut Tlb) {
+        (&mut self.faults, &mut self.events, &mut self.tlb)
     }
 
-    /// Recovers a poisoned cache line: both tag stores must agree, so the
-    /// line and its real-directory entry are discarded together.
-    fn scrub_line(&mut self, kind: FaultKind, key: BlockId) {
-        let Some(line) = self.l1.invalidate(key) else {
-            self.events.parity_refetches += 1;
-            return;
-        };
-        self.reverse.remove(&line.meta.p_block);
-        self.private.remove(&line.meta.p_block);
-        if matches!(kind, FaultKind::VTagFlip | FaultKind::VDataBit) && !line.meta.dirty {
-            self.events.parity_refetches += 1;
-        } else {
-            self.events.parity_machine_checks += 1;
-        }
-    }
-
-    /// Recovers a poisoned *data* word: SECDED corrects it in place,
-    /// plain data parity discards the line (refetch if clean, machine
-    /// check if dirty).
-    fn scrub_data(&mut self, key: BlockId, stored: Codeword) {
-        if self.data_protection == DataProtection::Secded {
-            match stored.syndrome_decode() {
-                Decode::Clean => return,
-                Decode::Corrected { data_bit } => {
-                    if let Some(bit) = data_bit {
-                        if let Some(line) = self.l1.peek_mut(key) {
-                            line.meta.version = line.meta.version.with_bit_flipped(bit);
-                        }
-                    }
-                    self.events.secded_corrections += 1;
-                    return;
-                }
-                Decode::DoubleError => {}
-            }
-        }
-        self.scrub_line(FaultKind::VDataBit, key);
-    }
-
-    fn record_poison(&mut self, poison: Poison) {
-        if self.parity {
-            self.poison.push(poison);
-        }
-    }
-
-    /// Records a *data*-array syndrome, gated on the data-protection
-    /// knob rather than metadata parity.
-    fn record_data_poison(&mut self, poison: Poison) {
-        if self.data_protection != DataProtection::None {
-            self.poison.push(poison);
-        }
-    }
-
-    /// Deterministically picks the `seed`-th resident line. Selection
-    /// never iterates the hash maps (their order is not deterministic);
-    /// everything derives from the cache array's iteration order.
-    fn pick_line(&self, seed: u64) -> Option<(BlockId, VMeta)> {
-        let lines: Vec<(BlockId, VMeta)> = self.l1.iter().map(|l| (l.block, l.meta)).collect();
-        if lines.is_empty() {
-            return None;
-        }
-        Some(lines[(seed % lines.len() as u64) as usize])
-    }
-
-    fn inject_v_tag_flip(&mut self, seed: u64) -> Option<FaultRecord> {
-        let lines: Vec<(BlockId, VMeta)> = self.l1.iter().map(|l| (l.block, l.meta)).collect();
-        if lines.is_empty() {
-            return None;
-        }
-        let n = lines.len() as u64;
-        let set_bits = self.l1.geometry().set_bits();
-        for off in 0..n {
-            let (key, meta) = lines[((seed + off) % n) as usize];
-            let flipped = fault::flip_tag_bit(key, set_bits);
-            if self.l1.peek(flipped).is_some() {
-                continue;
-            }
-            let line = self.l1.invalidate(key)?;
-            let out = self.l1.fill(flipped, line.meta);
-            debug_assert!(out.evicted.is_none(), "same set, freed way");
-            // The real directory still names the old virtual block — the
-            // dangling pointer *is* the injected corruption.
-            self.record_poison(Poison::L1Line {
-                kind: FaultKind::VTagFlip,
-                child: crate::rcache::ChildCache::Data,
-                key: flipped,
-            });
-            return Some(FaultRecord {
-                kind: FaultKind::VTagFlip,
-                detail: format!("line {key} retagged {flipped} dirty={}", meta.dirty),
-            });
-        }
+    /// No second level — and no write buffer — so no R-side, buffer or
+    /// second-level data syndrome is ever logged.
+    fn second_level(&mut self) -> Option<&mut RCache> {
         None
     }
 
-    /// Flips one data bit of a cache line's stored word.
-    fn inject_data_bit(&mut self, seed: u64) -> Option<FaultRecord> {
-        let (key, meta) = self.pick_line(seed)?;
-        let bit = (seed % 64) as u32;
-        let mut stored = Codeword::encode(meta.version.raw());
-        stored.flip_data_bit(bit);
-        let corrupted = meta.version.with_bit_flipped(bit);
+    fn l1_word(&mut self, _child: ChildCache, key: BlockId) -> Option<&mut Version> {
         let line = self.l1.peek_mut(key)?;
-        line.meta.version = corrupted;
-        self.record_data_poison(Poison::L1Data {
-            child: crate::rcache::ChildCache::Data,
-            key,
-            stored,
-        });
-        Some(FaultRecord {
-            kind: FaultKind::VDataBit,
-            detail: format!(
-                "line {key} data bit {bit} flipped ({} -> {corrupted}) dirty={}",
-                meta.version, meta.dirty
-            ),
-        })
+        Some(&mut line.meta.version)
+    }
+
+    /// Both tag stores must agree, so the line and its real-directory
+    /// entry are discarded together.
+    fn discard_l1_line(
+        &mut self,
+        _kind: FaultKind,
+        _child: ChildCache,
+        key: BlockId,
+    ) -> Option<bool> {
+        let line = self.l1.invalidate(key)?;
+        self.reverse.remove(&line.meta.p_block);
+        self.private.remove(&line.meta.p_block);
+        Some(line.meta.dirty)
+    }
+
+    /// The real directory's state bit for `granule` faulted: demoting to
+    /// shared is always safe (the next write re-arbitrates for
+    /// exclusivity over the bus) and loses nothing.
+    fn discard_l2_line(&mut self, granule: BlockId) -> bool {
+        if self.reverse.contains_key(&granule) {
+            self.private.insert(granule, false);
+        }
+        false
     }
 }
 
 impl FaultPort for GoodmanHierarchy {
     fn inject_fault(&mut self, kind: FaultKind, seed: u64) -> Option<FaultRecord> {
+        // Targets derive from the cache array's iteration order, never
+        // from the real directory's hash maps.
         match kind {
-            FaultKind::VTagFlip => self.inject_v_tag_flip(seed),
+            // The real directory still names the old virtual block — the
+            // dangling pointer *is* the injected corruption.
+            FaultKind::VTagFlip => self
+                .faults
+                .inject_l1_tag_flip(self.l1.array_mut(), LINE, seed),
             FaultKind::VStateFlip => {
-                let (key, meta) = self.pick_line(seed)?;
-                let line = self.l1.peek_mut(key)?;
-                line.meta.dirty = !line.meta.dirty;
-                self.record_poison(Poison::L1Line {
-                    kind,
-                    child: crate::rcache::ChildCache::Data,
-                    key,
-                });
-                Some(FaultRecord {
-                    kind,
-                    detail: format!("line {key} dirty {} -> {}", meta.dirty, !meta.dirty),
-                })
+                self.faults
+                    .inject_l1_state_flip(self.l1.array_mut(), LINE, seed)
             }
             FaultKind::RPointerFlip => {
                 // The real directory entry (physical tag) faults: it now
                 // points at a virtual block that holds no such line.
-                let (key, meta) = self.pick_line(seed)?;
+                let (key, meta) = fault::pick_line(self.l1.iter(), seed)?;
                 let set_bits = self.l1.geometry().set_bits();
                 let wrong = fault::flip_tag_bit(key, set_bits);
                 self.reverse.insert(meta.p_block, wrong);
                 // Parity on the physical tag store names the entry; the
                 // line it should point at is recovered through it.
-                self.record_poison(Poison::L1Line {
+                self.faults.note(Poison::L1Line {
                     kind,
-                    child: crate::rcache::ChildCache::Data,
+                    child: ChildCache::Data,
                     key,
                 });
                 Some(FaultRecord {
@@ -376,37 +265,31 @@ impl FaultPort for GoodmanHierarchy {
                 let shared: Vec<(BlockId, VMeta)> = self
                     .l1
                     .iter()
-                    .filter(|l| !self.private.get(&l.meta.p_block).copied().unwrap_or(false))
+                    .filter(|l| !self.granule_private(l.meta.p_block))
                     .map(|l| (l.block, l.meta))
                     .collect();
-                let (key, meta) = if shared.is_empty() {
-                    self.pick_line(seed)?
-                } else {
-                    shared[(seed % shared.len() as u64) as usize]
+                let (key, meta) = match fault::pick(&shared, seed) {
+                    Some(target) => target,
+                    None => fault::pick_line(self.l1.iter(), seed)?,
                 };
-                let old = self.private.get(&meta.p_block).copied().unwrap_or(false);
+                let old = self.granule_private(meta.p_block);
                 self.private.insert(meta.p_block, !old);
-                self.record_poison(Poison::L2Line {
+                self.faults.note(Poison::L2Line {
                     kind,
                     p2: meta.p_block,
                 });
                 Some(FaultRecord {
                     kind,
                     detail: format!(
-                        "line {key} granule {} private {old} -> {}",
+                        "{LINE} {key} granule {} private {old} -> {}",
                         meta.p_block, !old
                     ),
                 })
             }
-            FaultKind::TlbEntryFlip => {
-                let (asid, vpn) = self.tlb.corrupt_entry(seed)?;
-                self.record_poison(Poison::TlbEntry { asid, vpn });
-                Some(FaultRecord {
-                    kind,
-                    detail: format!("tlb asid {} vpn {:#x}", asid.raw(), vpn.raw()),
-                })
-            }
-            FaultKind::VDataBit => self.inject_data_bit(seed),
+            FaultKind::TlbEntryFlip => self.faults.inject_tlb_entry(&mut self.tlb, seed),
+            FaultKind::VDataBit => self
+                .faults
+                .inject_l1_data_bit(self.l1.array_mut(), LINE, seed),
             // No second level, no subentries, no write buffer — and no
             // second-level data array for RDataBit to hit.
             FaultKind::RInclusionFlip
@@ -421,6 +304,9 @@ impl FaultPort for GoodmanHierarchy {
         }
     }
 }
+
+/// How fault reports name a cache line.
+const LINE: &str = "line";
 
 impl CacheHierarchy for GoodmanHierarchy {
     fn access(
@@ -722,6 +608,7 @@ impl CacheHierarchy for GoodmanHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DataProtection;
     use crate::sys::LoopbackBus;
     use vrcache_mem::access::AccessKind;
     use vrcache_mem::addr::{PhysAddr, VirtAddr};
@@ -971,6 +858,28 @@ mod tests {
     }
 
     #[test]
+    fn bogus_exclusivity_is_demoted_again() {
+        let mut r = parity_rig();
+        r.go(AccessKind::DataRead, 0x1000, 0x9000);
+        let g = cfg().l1.block_of(0x9000);
+        // A foreign read-miss leaves the granule shared.
+        r.h.snoop(&BusTransaction::new(
+            BusOp::ReadMiss,
+            CpuId::new(1),
+            cfg().l2.block_of(0x9000),
+        ));
+        assert!(!r.h.granule_private(g));
+        let rec =
+            r.h.inject_fault(FaultKind::CohStateFlip, 0)
+                .expect("target");
+        assert_eq!(rec.detail, "line 0x100 granule 0x900 private false -> true");
+        assert!(r.h.granule_private(g), "the flip grants exclusivity");
+        r.go(AccessKind::DataRead, 0x1080, 0x9080);
+        assert_eq!(r.h.events().parity_refetches, 1);
+        assert!(!r.h.granule_private(g), "recovery takes it back");
+    }
+
+    #[test]
     fn tlb_flip_recovers_by_rewalk() {
         let mut r = parity_rig();
         warm(&mut r);
@@ -995,5 +904,95 @@ mod tests {
         ] {
             assert!(r.h.inject_fault(kind, 0).is_none(), "{kind}");
         }
+    }
+
+    fn rig(cfg: HierarchyConfig) -> Rig {
+        Rig {
+            h: GoodmanHierarchy::new(CpuId::new(0), &cfg),
+            bus: LoopbackBus::new(),
+            oracle: VersionOracle::new(),
+        }
+    }
+
+    /// The data word of the line caching `va`.
+    fn word(r: &Rig, va: u64) -> Option<Version> {
+        let key = cfg().l1.block_of(va);
+        r.h.cache().peek(key).map(|l| l.meta.version)
+    }
+
+    #[test]
+    fn secded_corrects_a_data_bit_in_place() {
+        let mut r = rig(cfg().with_data_protection(DataProtection::Secded));
+        r.go(AccessKind::DataWrite, 0x1000, 0x9000);
+        let before = word(&r, 0x1000);
+        let rec = r.h.inject_fault(FaultKind::VDataBit, 3).expect("target");
+        assert_eq!(rec.kind, FaultKind::VDataBit);
+        assert_ne!(word(&r, 0x1000), before, "the stored word is corrupted");
+        r.go(AccessKind::DataRead, 0x1080, 0x9080);
+        assert_eq!(r.h.events().secded_corrections, 1);
+        assert_eq!(word(&r, 0x1000), before, "repaired from the syndrome");
+        assert_eq!(
+            r.h.events().parity_refetches + r.h.events().parity_machine_checks,
+            0
+        );
+        // The repaired dirty word reads back as the newest version.
+        r.go(AccessKind::DataRead, 0x1000, 0x9000);
+    }
+
+    #[test]
+    fn data_parity_discards_the_line() {
+        for (write, refetches, machine_checks) in [(false, 1, 0), (true, 0, 1)] {
+            let mut r = rig(cfg().with_data_protection(DataProtection::Parity));
+            let kind = if write {
+                AccessKind::DataWrite
+            } else {
+                AccessKind::DataRead
+            };
+            r.go(kind, 0x1000, 0x9000);
+            r.h.inject_fault(FaultKind::VDataBit, 0).expect("target");
+            r.go(AccessKind::DataRead, 0x1080, 0x9080);
+            assert_eq!(word(&r, 0x1000), None, "the line is discarded");
+            assert_eq!(r.h.events().parity_refetches, refetches);
+            assert_eq!(r.h.events().parity_machine_checks, machine_checks);
+            assert_eq!(r.h.events().secded_corrections, 0);
+        }
+    }
+
+    #[test]
+    fn unprotected_data_bit_stays_latent() {
+        let mut r = rig(cfg().with_parity());
+        r.go(AccessKind::DataRead, 0x1000, 0x9000);
+        r.h.inject_fault(FaultKind::VDataBit, 0).expect("target");
+        assert!(r.h.faults.is_empty(), "parity alone does not cover data");
+    }
+
+    #[test]
+    fn secded_double_error_discards_the_line() {
+        let mut r = rig(cfg().with_data_protection(DataProtection::Secded));
+        r.go(AccessKind::DataRead, 0x1000, 0x9000);
+        let mut stored = vrcache_cache::syndrome::Codeword::encode(0);
+        stored.flip_data_bit(1);
+        stored.flip_data_bit(2);
+        r.h.faults.note(Poison::L1Data {
+            child: ChildCache::Data,
+            key: cfg().l1.block_of(0x1000),
+            stored,
+        });
+        r.go(AccessKind::DataRead, 0x1080, 0x9080);
+        assert_eq!(word(&r, 0x1000), None, "uncorrectable: discarded");
+        assert_eq!(r.h.events().parity_refetches, 1);
+        assert_eq!(r.h.events().secded_corrections, 0);
+    }
+
+    #[test]
+    fn clean_state_flip_machine_checks() {
+        let mut r = parity_rig();
+        r.go(AccessKind::DataRead, 0x1000, 0x9000);
+        let rec = r.h.inject_fault(FaultKind::VStateFlip, 0).expect("target");
+        assert_eq!(rec.detail, "line 0x100 dirty false -> true");
+        r.go(AccessKind::DataRead, 0x1080, 0x9080);
+        assert_eq!(r.h.events().parity_machine_checks, 1);
+        assert_eq!(word(&r, 0x1000), None);
+        r.h.check_invariants().unwrap();
     }
 }

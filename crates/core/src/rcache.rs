@@ -12,6 +12,7 @@ use vrcache_cache::array::{CacheArray, FillOutcome, Line};
 use vrcache_cache::geometry::{BlockId, CacheGeometry, Subblocks};
 use vrcache_cache::replacement::ReplacementPolicy;
 use vrcache_cache::stats::CacheStats;
+use vrcache_cache::write_buffer::WriteBuffer;
 
 /// Bus-coherence state of an R-cache line (invalid lines are simply absent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,6 +195,42 @@ impl RCache {
     /// Invalidates L2 block `p2` (bus-induced), returning the line.
     pub fn invalidate(&mut self, p2: BlockId) -> Option<Line<RMeta>> {
         self.array.invalidate(p2)
+    }
+
+    /// Invalidates L2 block `p2` together with the buffered writes of
+    /// its granules. Returns whether modified data went with them.
+    pub(crate) fn discard(&mut self, p2: BlockId, wb: &mut WriteBuffer<Version>) -> bool {
+        let mut lost_dirty = false;
+        for g in self.granules_of(p2).iter() {
+            lost_dirty |= wb.coherence_take(g).is_some();
+        }
+        if let Some(line) = self.array.invalidate(p2) {
+            lost_dirty |= line.meta.rdirty;
+        }
+        lost_dirty
+    }
+
+    /// Clears the buffer bit of granule `p1`'s subentry, if its line is
+    /// resident.
+    pub(crate) fn clear_buffer_bit(&mut self, p1: BlockId) {
+        let si = self.sub_index(p1);
+        if let Some(line) = self.array.peek_mut(self.l2_block_of(p1)) {
+            line.meta.subs[si].buffer = false;
+        }
+    }
+
+    /// The inclusion-repair sweep: severs the first-level linkage
+    /// (inclusion and vdirty) of every inclusion-linked subentry that
+    /// `dangling` accepts.
+    pub(crate) fn clear_inclusion_where(&mut self, mut dangling: impl FnMut(&SubEntry) -> bool) {
+        self.array.for_each_valid_mut(|line| {
+            for sub in line.meta.subs.iter_mut() {
+                if sub.inclusion && dangling(sub) {
+                    sub.inclusion = false;
+                    sub.vdirty = false;
+                }
+            }
+        });
     }
 
     /// Number of valid lines.

@@ -20,6 +20,8 @@ use vrcache_cache::geometry::{BlockId, CacheGeometry};
 use vrcache_cache::replacement::ReplacementPolicy;
 use vrcache_cache::stats::CacheStats;
 
+use crate::fault::{L1Meta, L1State};
+
 /// Per-line metadata of the V-cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VMeta {
@@ -33,6 +35,20 @@ pub struct VMeta {
     pub swapped: bool,
     /// Oracle version of the held data.
     pub version: Version,
+}
+
+impl L1Meta for VMeta {
+    fn state(&self) -> L1State {
+        L1State {
+            dirty: self.dirty,
+            version: self.version,
+        }
+    }
+
+    fn set_state(&mut self, state: L1State) {
+        self.dirty = state.dirty;
+        self.version = state.version;
+    }
 }
 
 /// The virtually-addressed, write-back first-level cache.
@@ -75,6 +91,13 @@ impl VCache {
             return None;
         }
         self.array.lookup(vblock)
+    }
+
+    /// The underlying array, for fault injection: a corruption bypasses
+    /// the swapped-valid filtering and victim preference of this
+    /// wrapper.
+    pub(crate) fn array_mut(&mut self) -> &mut CacheArray<VMeta> {
+        &mut self.array
     }
 
     /// Looks up `vblock` without LRU or swapped filtering (diagnostics).

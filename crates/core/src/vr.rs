@@ -33,7 +33,6 @@ use vrcache_bus::txn::{BusOp, BusTransaction};
 use vrcache_cache::array::Line;
 use vrcache_cache::geometry::{BlockId, CacheGeometry};
 use vrcache_cache::stats::CacheStats;
-use vrcache_cache::syndrome::{Codeword, Decode};
 use vrcache_cache::write_buffer::WriteBuffer;
 use vrcache_mem::access::{AccessKind, CpuId};
 use vrcache_mem::addr::{Asid, VirtAddr, Vpn};
@@ -42,11 +41,11 @@ use vrcache_trace::record::MemAccess;
 
 use crate::bus_api::{BusRequest, SnoopReply, SystemBus};
 use crate::config::{
-    CoherenceProtocol, ContextSwitchPolicy, DataProtection, HierarchyConfig, L1Organization,
-    L1WritePolicy,
+    CoherenceProtocol, ContextSwitchPolicy, HierarchyConfig, L1Organization, L1WritePolicy,
+    Unsupported,
 };
 use crate::events::HierarchyEvents;
-use crate::fault::{self, FaultKind, FaultPort, FaultRecord, Poison};
+use crate::fault::{self, FaultKind, FaultPort, FaultRecord, Poison, PoisonLog, Scrub};
 use crate::hierarchy::{AccessOutcome, BlockPresence, CacheHierarchy, SynonymKind};
 use crate::invariant::{self, InvariantChecker, InvariantExpect, InvariantViolation};
 use crate::rcache::{ChildCache, CohState, RCache, RMeta};
@@ -77,29 +76,41 @@ pub struct VrHierarchy {
     last_wb_at: Option<u64>,
     last_swapped_wb_at: Option<u64>,
     checker: InvariantChecker,
-    /// Modeled parity on the tag/state arrays and the TLB.
-    parity: bool,
-    /// Modeled protection on the V/R data arrays.
-    data_protection: DataProtection,
-    /// Outstanding parity syndromes, scrubbed at the next operation.
-    poison: Vec<Poison>,
+    /// Modeled parity and data protection, with the outstanding
+    /// syndromes.
+    faults: PoisonLog,
 }
 
 impl VrHierarchy {
+    /// Checks that this organization models `cfg`.
+    ///
+    /// # Errors
+    ///
+    /// [`Unsupported`] for the update protocol over a write-through first
+    /// level: write-through already broadcasts every store downward, and
+    /// the combination is not a design point the paper discusses.
+    pub fn supports(cfg: &HierarchyConfig) -> Result<(), Unsupported> {
+        if cfg.protocol == CoherenceProtocol::Update
+            && cfg.l1_write_policy == L1WritePolicy::WriteThrough
+        {
+            return Err(Unsupported {
+                organization: "the V-R hierarchy",
+                feature: "the update protocol over a write-through first level",
+            });
+        }
+        Ok(())
+    }
+
     /// Builds the hierarchy for `cpu` from `cfg`.
     ///
     /// # Panics
     ///
-    /// Panics if a split configuration's halves are not valid geometries,
-    /// or if the update protocol is combined with a write-through first
-    /// level (write-through already broadcasts every store downward; the
-    /// combination is not a design point the paper discusses).
+    /// Panics if [`supports`](Self::supports) rejects `cfg`, or if a
+    /// split configuration's halves are not valid geometries.
     pub fn new(cpu: CpuId, cfg: &HierarchyConfig) -> Self {
-        assert!(
-            !(cfg.protocol == CoherenceProtocol::Update
-                && cfg.l1_write_policy == L1WritePolicy::WriteThrough),
-            "update protocol + write-through first level is not modeled"
-        );
+        if let Err(e) = Self::supports(cfg) {
+            panic!("{e}");
+        }
         let (l1d, l1i) = match cfg.l1_org {
             L1Organization::Unified => (VCache::new(cfg.l1, cfg.l1_policy, cfg.seed ^ 0xD), None),
             L1Organization::Split => {
@@ -130,9 +141,7 @@ impl VrHierarchy {
             last_wb_at: None,
             last_swapped_wb_at: None,
             checker: InvariantChecker::new(cfg.runtime_checks),
-            parity: cfg.parity,
-            data_protection: cfg.data_protection,
-            poison: Vec::new(),
+            faults: PoisonLog::new(cfg),
         }
     }
 
@@ -1058,460 +1067,117 @@ impl VrHierarchy {
     }
 }
 
-// ---- modeled parity: fault injection, detection and recovery ----
-impl VrHierarchy {
-    /// Detects and recovers outstanding parity syndromes. Runs at the
-    /// entry of every public operation — before any lookup can consume
-    /// corrupted state, exactly as a parity check fires on the array
-    /// read itself. With parity disabled the poison list is always
-    /// empty and this is a no-op.
-    fn scrub_poison(&mut self) {
-        if self.poison.is_empty() {
-            return;
-        }
-        let poisons = std::mem::take(&mut self.poison);
-        for p in poisons {
-            match p {
-                Poison::L1Line { kind, child, key } => self.scrub_v_line(kind, child, key),
-                Poison::L2Line { kind, p2 } => self.scrub_r_line(kind, p2),
-                Poison::L1Data { child, key, stored } => self.scrub_v_data(child, key, stored),
-                Poison::L2Data { p2, sub, stored } => self.scrub_r_data(p2, sub, stored),
-                Poison::TlbEntry { asid, vpn } => {
-                    // A corrupted translation is simply re-walked: flush
-                    // the entry and let the next miss refill it.
-                    self.tlb.flush_asid_vpn(asid, vpn);
-                    self.events.parity_refetches += 1;
-                }
-                Poison::WbEntry { p1 } => {
-                    // The pending write vanished: clear the dangling
-                    // buffer bit so the structure stays sound. The
-                    // modified data is gone — machine check.
-                    let p2 = self.l2.l2_block_of(p1);
-                    let si = self.l2.sub_index(p1);
-                    if let Some(line) = self.l2.peek_mut(p2) {
-                        line.meta.subs[si].buffer = false;
-                    }
-                    self.events.parity_machine_checks += 1;
-                }
-            }
-        }
+// ---- modeled parity: structural repair and the injection table ----
+impl Scrub for VrHierarchy {
+    fn fault_parts(&mut self) -> (&mut PoisonLog, &mut HierarchyEvents, &mut Tlb) {
+        (&mut self.faults, &mut self.events, &mut self.tlb)
     }
 
-    /// Recovers a poisoned V-cache line. Parity identifies the entry but
-    /// cannot correct it, so the line is discarded; what else must go
-    /// depends on which field faulted.
-    fn scrub_v_line(&mut self, kind: FaultKind, child: ChildCache, key: BlockId) {
-        let Some(line) = self.front_mut(child).invalidate(key) else {
-            // The poisoned line was already replaced; nothing to repair.
-            self.events.parity_refetches += 1;
-            return;
-        };
-        match kind {
-            FaultKind::RPointerFlip => {
-                // The r-pointer itself is suspect: locate the parent by
-                // its v-pointer instead and sever the linkage.
-                self.clear_linkage_by_v_pointer(child, key);
-                // Pointer metadata faulted — even a clean line may have
-                // been reachable through a wrong parent.
-                self.events.parity_machine_checks += 1;
-            }
-            _ => {
-                // Tag, state or data flip: the r-pointer is trusted.
-                self.clear_sub_linkage(line.meta.p_block);
-                if matches!(kind, FaultKind::VTagFlip | FaultKind::VDataBit) && !line.meta.dirty {
-                    // Clean data under a wrong tag (or a clean word
-                    // failing its data check): treat as a miss.
-                    self.events.parity_refetches += 1;
-                } else {
-                    // A dirty line (or a dirty bit of unknown true
-                    // value) may carry the only copy of modified data.
-                    self.events.parity_machine_checks += 1;
-                }
-            }
-        }
+    fn second_level(&mut self) -> Option<&mut RCache> {
+        Some(&mut self.l2)
     }
 
-    /// Clears the inclusion linkage of granule `p1`'s parent subentry.
-    fn clear_sub_linkage(&mut self, p1: BlockId) {
-        let p2 = self.l2.l2_block_of(p1);
-        let si = self.l2.sub_index(p1);
-        if let Some(line) = self.l2.peek_mut(p2) {
-            let sub = &mut line.meta.subs[si];
-            sub.inclusion = false;
-            sub.vdirty = false;
-        }
+    fn l1_word(&mut self, child: ChildCache, key: BlockId) -> Option<&mut Version> {
+        let line = self.front_mut(child).peek_mut(key)?;
+        Some(&mut line.meta.version)
     }
 
-    /// Clears every subentry whose v-pointer names `(child, vblock)` —
-    /// the reverse lookup used when the forward r-pointer is suspect.
-    fn clear_linkage_by_v_pointer(&mut self, child: ChildCache, vblock: BlockId) {
-        let targets: Vec<(BlockId, usize)> = self
-            .l2
-            .iter()
-            .flat_map(|line| {
-                let p2 = line.block;
-                line.meta
-                    .subs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.inclusion && s.child == child && s.v_block == vblock)
-                    .map(move |(i, _)| (p2, i))
-            })
-            .collect();
-        for (p2, si) in targets {
-            if let Some(line) = self.l2.peek_mut(p2) {
-                let sub = &mut line.meta.subs[si];
+    /// Parity identifies the entry but cannot correct it, so the line is
+    /// discarded; which linkage goes with it depends on the faulted
+    /// field.
+    fn discard_l1_line(
+        &mut self,
+        kind: FaultKind,
+        child: ChildCache,
+        key: BlockId,
+    ) -> Option<bool> {
+        let line = self.front_mut(child).invalidate(key)?;
+        if kind == FaultKind::RPointerFlip {
+            // The r-pointer itself is suspect: locate the parent by its
+            // v-pointer instead and sever the linkage.
+            self.l2
+                .clear_inclusion_where(|s| s.child == child && s.v_block == key);
+        } else {
+            // Tag, state or data flip: the r-pointer is trusted.
+            let p1 = line.meta.p_block;
+            let si = self.l2.sub_index(p1);
+            if let Some(parent) = self.l2.peek_mut(self.l2.l2_block_of(p1)) {
+                let sub = &mut parent.meta.subs[si];
                 sub.inclusion = false;
                 sub.vdirty = false;
             }
         }
+        Some(line.meta.dirty)
     }
 
-    /// Recovers a poisoned R-cache line by conservative teardown: every
-    /// V-cache child and buffered write of the line's granules is
-    /// discarded (trusting only the V-side r-pointers, never the
-    /// corrupted subentries) and the line is invalidated. Only a
-    /// provably-clean coherence-state flip counts as a refetch; any
-    /// pointer/flag corruption, or discarded modified data, is a
-    /// machine check.
-    fn scrub_r_line(&mut self, kind: FaultKind, p2: BlockId) {
+    /// Conservative teardown: every V-cache child of the line's granules
+    /// is discarded (trusting only the V-side r-pointers, never the
+    /// corrupted subentries), then the line and its buffered writes.
+    fn discard_l2_line(&mut self, p2: BlockId) -> bool {
         let granules = self.l2.granules_of(p2);
         let mut lost_dirty = false;
-        for child in [ChildCache::Data, ChildCache::Instr] {
-            if child == ChildCache::Instr && self.l1i.is_none() {
-                continue;
-            }
-            let keys: Vec<BlockId> = self
-                .front(child)
-                .iter()
-                .filter(|l| granules.contains(l.meta.p_block))
-                .map(|l| l.block)
-                .collect();
-            for k in keys {
-                if let Some(line) = self.front_mut(child).invalidate(k) {
-                    lost_dirty |= line.meta.dirty;
-                }
-            }
+        for front in std::iter::once(&mut self.l1d).chain(self.l1i.as_mut()) {
+            front.array_mut().retain(
+                |l| !granules.contains(l.meta.p_block),
+                |line| lost_dirty |= line.meta.dirty,
+            );
         }
-        for g in granules.iter() {
-            lost_dirty |= self.wb.coherence_take(g).is_some();
-        }
-        if let Some(line) = self.l2.invalidate(p2) {
-            lost_dirty |= line.meta.rdirty;
-        }
-        if matches!(kind, FaultKind::CohStateFlip | FaultKind::RDataBit) && !lost_dirty {
-            self.events.parity_refetches += 1;
-        } else {
-            self.events.parity_machine_checks += 1;
-        }
-    }
-
-    /// Recovers a poisoned V-cache *data* word. Under SECDED the
-    /// syndrome locates the flipped bit and the word is repaired in
-    /// place; under plain data parity (or an uncorrectable syndrome)
-    /// the line is handled like any other detected corruption — clean
-    /// lines refetch, dirty lines machine-check.
-    fn scrub_v_data(&mut self, child: ChildCache, key: BlockId, stored: Codeword) {
-        if self.data_protection == DataProtection::Secded {
-            match stored.syndrome_decode() {
-                Decode::Clean => return,
-                Decode::Corrected { data_bit } => {
-                    if let Some(bit) = data_bit {
-                        if let Some(line) = self.front_mut(child).peek_mut(key) {
-                            line.meta.version = line.meta.version.with_bit_flipped(bit);
-                        }
-                    }
-                    self.events.secded_corrections += 1;
-                    return;
-                }
-                // A multi-bit upset: detected, uncorrectable — fall
-                // through to the parity-style discard.
-                Decode::DoubleError => {}
-            }
-        }
-        self.scrub_v_line(FaultKind::VDataBit, child, key);
-    }
-
-    /// Recovers a poisoned R-cache subentry *data* word (same policy as
-    /// [`scrub_v_data`](Self::scrub_v_data), at the second level).
-    fn scrub_r_data(&mut self, p2: BlockId, sub: usize, stored: Codeword) {
-        if self.data_protection == DataProtection::Secded {
-            match stored.syndrome_decode() {
-                Decode::Clean => return,
-                Decode::Corrected { data_bit } => {
-                    if let Some(bit) = data_bit {
-                        if let Some(line) = self.l2.peek_mut(p2) {
-                            if let Some(s) = line.meta.subs.get_mut(sub) {
-                                s.version = s.version.with_bit_flipped(bit);
-                            }
-                        }
-                    }
-                    self.events.secded_corrections += 1;
-                    return;
-                }
-                Decode::DoubleError => {}
-            }
-        }
-        self.scrub_r_line(FaultKind::RDataBit, p2);
-    }
-
-    fn record_poison(&mut self, poison: Poison) {
-        if self.parity {
-            self.poison.push(poison);
-        }
-    }
-
-    /// Records a *data*-array syndrome: gated on the data-protection
-    /// knob, not on metadata parity.
-    fn record_data_poison(&mut self, poison: Poison) {
-        if self.data_protection != DataProtection::None {
-            self.poison.push(poison);
-        }
-    }
-
-    /// Deterministically picks the `seed`-th valid V-cache line (data
-    /// front), returning its key and metadata.
-    fn pick_v_line(&self, seed: u64) -> Option<(BlockId, VMeta)> {
-        let lines: Vec<(BlockId, VMeta)> = self.l1d.iter().map(|l| (l.block, l.meta)).collect();
-        if lines.is_empty() {
-            return None;
-        }
-        Some(lines[(seed % lines.len() as u64) as usize])
-    }
-
-    fn inject_v_tag_flip(&mut self, seed: u64) -> Option<FaultRecord> {
-        let lines: Vec<(BlockId, VMeta)> = self.l1d.iter().map(|l| (l.block, l.meta)).collect();
-        if lines.is_empty() {
-            return None;
-        }
-        let n = lines.len() as u64;
-        let set_bits = self.l1d.geometry().set_bits();
-        for off in 0..n {
-            let (key, meta) = lines[((seed + off) % n) as usize];
-            let flipped = fault::flip_tag_bit(key, set_bits);
-            if self.l1d.peek(flipped).is_some() {
-                // The flipped tag collides with a resident line; a
-                // different victim keeps the single-fault model clean.
-                continue;
-            }
-            let line = self.l1d.invalidate(key)?;
-            let out = self.l1d.fill(flipped, line.meta);
-            debug_assert!(out.evicted.is_none(), "same set, freed way");
-            self.record_poison(Poison::L1Line {
-                kind: FaultKind::VTagFlip,
-                child: ChildCache::Data,
-                key: flipped,
-            });
-            return Some(FaultRecord {
-                kind: FaultKind::VTagFlip,
-                detail: format!("v-line {key} retagged {flipped} dirty={}", meta.dirty),
-            });
-        }
-        None
-    }
-
-    fn inject_v_state_flip(&mut self, seed: u64) -> Option<FaultRecord> {
-        let (key, meta) = self.pick_v_line(seed)?;
-        let line = self.l1d.peek_mut(key)?;
-        line.meta.dirty = !line.meta.dirty;
-        self.record_poison(Poison::L1Line {
-            kind: FaultKind::VStateFlip,
-            child: ChildCache::Data,
-            key,
-        });
-        Some(FaultRecord {
-            kind: FaultKind::VStateFlip,
-            detail: format!("v-line {key} dirty {} -> {}", meta.dirty, !meta.dirty),
-        })
-    }
-
-    fn inject_r_pointer_flip(&mut self, seed: u64) -> Option<FaultRecord> {
-        let (key, meta) = self.pick_v_line(seed)?;
-        let corrupted = BlockId::new(meta.p_block.raw() ^ 1);
-        let line = self.l1d.peek_mut(key)?;
-        line.meta.p_block = corrupted;
-        self.record_poison(Poison::L1Line {
-            kind: FaultKind::RPointerFlip,
-            child: ChildCache::Data,
-            key,
-        });
-        Some(FaultRecord {
-            kind: FaultKind::RPointerFlip,
-            detail: format!("v-line {key} r-pointer {} -> {corrupted}", meta.p_block),
-        })
-    }
-
-    /// Injects one of the R-cache-side kinds, preferring a target where
-    /// the flipped field is live (an inclusion-linked subentry for
-    /// inclusion/vdirty/v-pointer faults, a buffered one for buffer
-    /// faults) and falling back to any subentry.
-    fn inject_r_side(&mut self, kind: FaultKind, seed: u64) -> Option<FaultRecord> {
-        let mut preferred: Vec<(BlockId, usize)> = Vec::new();
-        let mut any: Vec<(BlockId, usize)> = Vec::new();
-        for line in self.l2.iter() {
-            for (si, sub) in line.meta.subs.iter().enumerate() {
-                any.push((line.block, si));
-                let live = match kind {
-                    FaultKind::RBufferFlip => sub.buffer,
-                    // Prefer granting bogus exclusivity (Shared -> Private):
-                    // the demotion direction only costs a redundant upgrade.
-                    FaultKind::CohStateFlip => line.meta.state == CohState::Shared,
-                    _ => sub.inclusion,
-                };
-                if live {
-                    preferred.push((line.block, si));
-                }
-            }
-        }
-        let pool = if preferred.is_empty() { any } else { preferred };
-        if pool.is_empty() {
-            return None;
-        }
-        let (p2, si) = pool[(seed % pool.len() as u64) as usize];
-        let line = self.l2.peek_mut(p2)?;
-        let detail = match kind {
-            FaultKind::RInclusionFlip => {
-                let sub = &mut line.meta.subs[si];
-                sub.inclusion = !sub.inclusion;
-                format!("r-line {p2} sub {si} inclusion -> {}", sub.inclusion)
-            }
-            FaultKind::RBufferFlip => {
-                let sub = &mut line.meta.subs[si];
-                sub.buffer = !sub.buffer;
-                format!("r-line {p2} sub {si} buffer -> {}", sub.buffer)
-            }
-            FaultKind::RVdirtyFlip => {
-                let sub = &mut line.meta.subs[si];
-                sub.vdirty = !sub.vdirty;
-                format!("r-line {p2} sub {si} vdirty -> {}", sub.vdirty)
-            }
-            FaultKind::VPointerFlip => {
-                let set_bits = self.l1d.geometry().set_bits();
-                let sub = &mut line.meta.subs[si];
-                let old = sub.v_block;
-                sub.v_block = fault::flip_tag_bit(old, set_bits);
-                format!("r-line {p2} sub {si} v-pointer {old} -> {}", sub.v_block)
-            }
-            FaultKind::CohStateFlip => {
-                let old = line.meta.state;
-                line.meta.state = match old {
-                    CohState::Shared => CohState::Private,
-                    CohState::Private => CohState::Shared,
-                };
-                format!("r-line {p2} state {old:?} -> {:?}", line.meta.state)
-            }
-            _ => return None,
-        };
-        self.record_poison(Poison::L2Line { kind, p2 });
-        Some(FaultRecord { kind, detail })
-    }
-
-    fn inject_wb_drop(&mut self, seed: u64) -> Option<FaultRecord> {
-        let blocks: Vec<BlockId> = self.wb.iter().map(|e| e.block).collect();
-        if blocks.is_empty() {
-            return None;
-        }
-        let p1 = blocks[(seed % blocks.len() as u64) as usize];
-        self.wb.coherence_take(p1)?;
-        self.record_poison(Poison::WbEntry { p1 });
-        Some(FaultRecord {
-            kind: FaultKind::WriteBufferDrop,
-            detail: format!("write buffer lost pending {p1}"),
-        })
-    }
-
-    /// Flips one data bit of a V-cache line's stored word. The poison
-    /// carries the corrupted SECDED codeword so the scrub can decode
-    /// the syndrome and correct in place.
-    fn inject_v_data_bit(&mut self, seed: u64) -> Option<FaultRecord> {
-        let (key, meta) = self.pick_v_line(seed)?;
-        let bit = (seed % 64) as u32;
-        let mut stored = Codeword::encode(meta.version.raw());
-        stored.flip_data_bit(bit);
-        let corrupted = meta.version.with_bit_flipped(bit);
-        let line = self.l1d.peek_mut(key)?;
-        line.meta.version = corrupted;
-        self.record_data_poison(Poison::L1Data {
-            child: ChildCache::Data,
-            key,
-            stored,
-        });
-        Some(FaultRecord {
-            kind: FaultKind::VDataBit,
-            detail: format!(
-                "v-line {key} data bit {bit} flipped ({} -> {corrupted}) dirty={}",
-                meta.version, meta.dirty
-            ),
-        })
-    }
-
-    /// Flips one data bit of an R-cache subentry's stored word,
-    /// preferring a subentry whose copy is authoritative at this level
-    /// (not shadowed by a dirty V-child or a buffered write).
-    fn inject_r_data_bit(&mut self, seed: u64) -> Option<FaultRecord> {
-        let mut preferred: Vec<(BlockId, usize, Version)> = Vec::new();
-        let mut any: Vec<(BlockId, usize, Version)> = Vec::new();
-        for line in self.l2.iter() {
-            for (si, sub) in line.meta.subs.iter().enumerate() {
-                any.push((line.block, si, sub.version));
-                if !sub.vdirty && !sub.buffer {
-                    preferred.push((line.block, si, sub.version));
-                }
-            }
-        }
-        let pool = if preferred.is_empty() { any } else { preferred };
-        if pool.is_empty() {
-            return None;
-        }
-        let (p2, si, version) = pool[(seed % pool.len() as u64) as usize];
-        let bit = (seed % 64) as u32;
-        let mut stored = Codeword::encode(version.raw());
-        stored.flip_data_bit(bit);
-        let corrupted = version.with_bit_flipped(bit);
-        let line = self.l2.peek_mut(p2)?;
-        line.meta.subs[si].version = corrupted;
-        self.record_data_poison(Poison::L2Data {
-            p2,
-            sub: si,
-            stored,
-        });
-        Some(FaultRecord {
-            kind: FaultKind::RDataBit,
-            detail: format!(
-                "r-line {p2} sub {si} data bit {bit} flipped ({version} -> {corrupted})"
-            ),
-        })
+        let buffered = self.l2.discard(p2, &mut self.wb);
+        lost_dirty || buffered
     }
 }
 
 impl FaultPort for VrHierarchy {
     fn inject_fault(&mut self, kind: FaultKind, seed: u64) -> Option<FaultRecord> {
+        let v_set_bits = self.l1d.geometry().set_bits();
         match kind {
-            FaultKind::VTagFlip => self.inject_v_tag_flip(seed),
-            FaultKind::VStateFlip => self.inject_v_state_flip(seed),
-            FaultKind::RPointerFlip => self.inject_r_pointer_flip(seed),
+            FaultKind::VTagFlip => {
+                self.faults
+                    .inject_l1_tag_flip(self.l1d.array_mut(), V_LINE, seed)
+            }
+            FaultKind::VStateFlip => {
+                self.faults
+                    .inject_l1_state_flip(self.l1d.array_mut(), V_LINE, seed)
+            }
+            FaultKind::RPointerFlip => {
+                let (key, meta) = fault::pick_line(self.l1d.iter(), seed)?;
+                let corrupted = BlockId::new(meta.p_block.raw() ^ 1);
+                self.l1d.peek_mut(key)?.meta.p_block = corrupted;
+                self.faults.note(Poison::L1Line {
+                    kind,
+                    child: ChildCache::Data,
+                    key,
+                });
+                Some(FaultRecord {
+                    kind,
+                    detail: format!("{V_LINE} {key} r-pointer {} -> {corrupted}", meta.p_block),
+                })
+            }
             FaultKind::RInclusionFlip
             | FaultKind::RBufferFlip
             | FaultKind::RVdirtyFlip
             | FaultKind::VPointerFlip
-            | FaultKind::CohStateFlip => self.inject_r_side(kind, seed),
-            FaultKind::TlbEntryFlip => {
-                let (asid, vpn) = self.tlb.corrupt_entry(seed)?;
-                self.record_poison(Poison::TlbEntry { asid, vpn });
-                Some(FaultRecord {
-                    kind,
-                    detail: format!("tlb asid {} vpn {:#x}", asid.raw(), vpn.raw()),
-                })
+            | FaultKind::CohStateFlip => {
+                self.l2
+                    .inject_r_side(kind, seed, v_set_bits, R_LINE, &mut self.faults)
             }
-            FaultKind::WriteBufferDrop => self.inject_wb_drop(seed),
-            FaultKind::VDataBit => self.inject_v_data_bit(seed),
-            FaultKind::RDataBit => self.inject_r_data_bit(seed),
+            FaultKind::TlbEntryFlip => self.faults.inject_tlb_entry(&mut self.tlb, seed),
+            FaultKind::WriteBufferDrop => self.faults.inject_wb_drop(&mut self.wb, seed),
+            FaultKind::VDataBit => {
+                self.faults
+                    .inject_l1_data_bit(self.l1d.array_mut(), V_LINE, seed)
+            }
+            FaultKind::RDataBit => self.l2.inject_r_data_bit(seed, R_LINE, &mut self.faults),
             FaultKind::BusDropTxn | FaultKind::BusDuplicateTxn | FaultKind::BusLostInvalidate => {
                 None
             }
         }
     }
 }
+
+// How fault reports name a V-cache line and an R-cache line.
+const V_LINE: &str = "v-line";
+const R_LINE: &str = "r-line";
 
 #[cfg(test)]
 mod tests {
@@ -2073,7 +1739,9 @@ mod tests {
 
     // ---- fault injection, parity detection and recovery ----
 
+    use crate::config::DataProtection;
     use crate::fault::{FaultKind, FaultPort};
+    use vrcache_cache::syndrome::Codeword;
 
     fn parity_rig() -> Rig {
         Rig::new(&cfg().with_parity())
@@ -2211,7 +1879,7 @@ mod tests {
         // No syndrome was recorded, so nothing will ever be scrubbed —
         // the corruption lies latent until the structure is exercised,
         // which is exactly the silent propagation the campaigns show.
-        assert!(r.h.poison.is_empty());
+        assert!(r.h.faults.is_empty());
         assert_eq!(detections(&r), 0);
     }
 
@@ -2232,5 +1900,107 @@ mod tests {
         let mut bus = LoopbackBus::new();
         r.h.tlb_shootdown(Asid::new(7), Vpn::new(0x77), &mut bus);
         assert!(detections(&r) >= 1, "tlb_shootdown scrubs");
+    }
+
+    fn protected_rig(data: DataProtection) -> Rig {
+        Rig::new(&cfg().with_parity().with_data_protection(data))
+    }
+
+    /// Every data word the hierarchy holds: V lines, then R subentries.
+    fn words(r: &Rig) -> Vec<Version> {
+        let v = r.h.vcache().iter().map(|l| l.meta.version);
+        let subs = r.h.rcache().iter().flat_map(|l| l.meta.subs.iter());
+        v.chain(subs.map(|s| s.version)).collect()
+    }
+
+    #[test]
+    fn secded_corrects_v_and_r_data_bits_in_place() {
+        for kind in [FaultKind::VDataBit, FaultKind::RDataBit] {
+            let mut r = protected_rig(DataProtection::Secded);
+            warm(&mut r);
+            let before = words(&r);
+            let rec = r.h.inject_fault(kind, 3).expect("target");
+            assert_eq!(rec.kind, kind);
+            assert_ne!(words(&r), before, "{kind} corrupts a stored word");
+            r.read(0x1080, 0x9080);
+            assert_eq!(r.h.events().secded_corrections, 1, "{kind}");
+            assert_eq!(detections(&r), 0, "{kind}");
+            let after: Vec<Version> = words(&r);
+            assert_eq!(
+                after[..before.len()],
+                before[..],
+                "{kind} repaired in place"
+            );
+        }
+    }
+
+    #[test]
+    fn data_parity_discards_clean_lines_as_refetches() {
+        for kind in [FaultKind::VDataBit, FaultKind::RDataBit] {
+            let mut r = protected_rig(DataProtection::Parity);
+            for i in 0..4u64 {
+                r.read(0x1000 + i * 0x10, 0x9000 + i * 0x10);
+            }
+            let lines = r.h.rcache().occupancy();
+            r.h.inject_fault(kind, 1).expect("target");
+            r.read(0x1080, 0x9080);
+            assert_eq!(r.h.events().parity_refetches, 1, "{kind}");
+            assert_eq!(r.h.events().parity_machine_checks, 0, "{kind}");
+            if kind == FaultKind::RDataBit {
+                assert_eq!(r.h.rcache().occupancy(), lines, "torn down, one refilled");
+            }
+        }
+    }
+
+    #[test]
+    fn secded_double_errors_discard_at_both_levels() {
+        let mut r = protected_rig(DataProtection::Secded);
+        r.read(0x1000, 0x9000);
+        let mut stored = Codeword::encode(0);
+        stored.flip_data_bit(1);
+        stored.flip_data_bit(2);
+        let key = cfg().l1.block_of(0x1000);
+        let p2 = cfg().l2.block_of(0x9000);
+        r.h.faults.note(Poison::L1Data {
+            child: ChildCache::Data,
+            key,
+            stored,
+        });
+        r.h.faults.note(Poison::L2Data { p2, sub: 0, stored });
+        r.read(0x1080, 0x9080);
+        assert_eq!(r.h.events().parity_refetches, 2);
+        assert_eq!(r.h.events().secded_corrections, 0);
+        assert!(r.h.vcache().peek(key).is_none());
+        assert!(r.h.rcache().peek(p2).is_none());
+    }
+
+    #[test]
+    fn clean_v_state_flip_machine_checks() {
+        let mut r = parity_rig();
+        r.read(0x1000, 0x9000);
+        let rec = r.h.inject_fault(FaultKind::VStateFlip, 0).expect("target");
+        assert_eq!(rec.detail, "v-line 0x100 dirty false -> true");
+        r.read(0x1080, 0x9080);
+        assert_eq!(r.h.events().parity_machine_checks, 1);
+        assert_eq!(r.h.events().parity_refetches, 0);
+    }
+
+    #[test]
+    fn dirty_r_pointer_flip_severs_the_parent_by_v_pointer() {
+        let mut r = parity_rig();
+        r.write(0x1000, 0x9000);
+        let rec =
+            r.h.inject_fault(FaultKind::RPointerFlip, 0)
+                .expect("target");
+        assert_eq!(rec.detail, "v-line 0x100 r-pointer 0x900 -> 0x901");
+        r.read(0x1080, 0x9080);
+        let sub =
+            r.h.rcache()
+                .peek(cfg().l2.block_of(0x9000))
+                .unwrap()
+                .meta
+                .subs[0];
+        assert!(!sub.inclusion && !sub.vdirty, "linkage and vdirty cleared");
+        assert_eq!(r.h.events().parity_machine_checks, 1);
     }
 }

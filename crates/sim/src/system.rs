@@ -2,8 +2,9 @@
 
 use core::fmt;
 
-use vrcache::config::HierarchyConfig;
+use vrcache::config::{HierarchyConfig, Unsupported};
 use vrcache::events::HierarchyEvents;
+use vrcache::goodman::GoodmanHierarchy;
 use vrcache::hierarchy::CacheHierarchy;
 use vrcache::rr::{InclusionMode, RrHierarchy};
 use vrcache::vr::VrHierarchy;
@@ -49,6 +50,23 @@ impl HierarchyKind {
             HierarchyKind::RrInclusive => "RR(incl)",
             HierarchyKind::RrNonInclusive => "RR(no incl)",
             HierarchyKind::GoodmanSingleLevel => "Goodman 1-level",
+        }
+    }
+
+    /// Checks that this organization models `cfg`, which
+    /// [`System::new`] requires.
+    ///
+    /// # Errors
+    ///
+    /// [`Unsupported`] naming the configured feature the organization
+    /// does not model.
+    pub fn supports(self, cfg: &HierarchyConfig) -> Result<(), Unsupported> {
+        match self {
+            HierarchyKind::Vr => VrHierarchy::supports(cfg),
+            HierarchyKind::RrInclusive | HierarchyKind::RrNonInclusive => {
+                RrHierarchy::supports(cfg)
+            }
+            HierarchyKind::GoodmanSingleLevel => GoodmanHierarchy::supports(cfg),
         }
     }
 }
@@ -161,7 +179,8 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if `cpus` is zero.
+    /// Panics if `cpus` is zero, or if [`HierarchyKind::supports`] rejects
+    /// `cfg`.
     pub fn new(kind: HierarchyKind, cpus: u16, cfg: &HierarchyConfig) -> System {
         assert!(cpus > 0, "a system needs at least one cpu");
         let hierarchies = (0..cpus)
@@ -175,9 +194,7 @@ impl System {
                     HierarchyKind::RrNonInclusive => {
                         Box::new(RrHierarchy::new(cpu, cfg, InclusionMode::NonInclusive))
                     }
-                    HierarchyKind::GoodmanSingleLevel => {
-                        Box::new(vrcache::goodman::GoodmanHierarchy::new(cpu, cfg))
-                    }
+                    HierarchyKind::GoodmanSingleLevel => Box::new(GoodmanHierarchy::new(cpu, cfg)),
                 };
                 Some(h)
             })
@@ -485,6 +502,24 @@ mod tests {
 
     fn small_cfg() -> HierarchyConfig {
         HierarchyConfig::direct_mapped(1024, 16 * 1024, 16).unwrap()
+    }
+
+    #[test]
+    fn system_new_builds_exactly_what_its_kind_supports() {
+        let base = small_cfg();
+        for cfg in [
+            base.clone(),
+            base.clone().with_split_l1(),
+            base.clone().with_write_through(),
+            base.clone().with_eager_flush(),
+            base.clone().with_update_protocol(),
+            base.clone().with_update_protocol().with_write_through(),
+        ] {
+            for kind in HierarchyKind::ALL {
+                let built = std::panic::catch_unwind(|| System::new(kind, 1, &cfg));
+                assert_eq!(built.is_ok(), kind.supports(&cfg).is_ok(), "{kind} {cfg:?}");
+            }
+        }
     }
 
     fn small_trace(cpus: u16, refs: u64, switches: u64) -> Trace {
