@@ -1,7 +1,7 @@
 //! Cache geometry: size / block / associativity and the address split.
 
 use core::fmt;
-use core::hash::{BuildHasherDefault, Hasher};
+use core::hash::BuildHasherDefault;
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
@@ -51,39 +51,10 @@ impl fmt::Display for BlockId {
 /// contents still sort them.
 pub type BlockMap<V> = HashMap<BlockId, V, BuildHasherDefault<BlockHasher>>;
 
-/// Deterministic multiplicative hasher for [`BlockId`] keys.
-///
-/// A block id is one `u64`, so hashing it needs no SipHash rounds: one
-/// multiply by the 64-bit golden ratio, then the high half folded onto
-/// the low half. The table picks a bucket from the low bits and a slot
-/// tag from the top bits, and the fold makes both depend on every key
-/// bit, so block ids at a power-of-two stride still spread over all
-/// buckets.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BlockHasher(u64);
-
-impl BlockHasher {
-    const K: u64 = 0x9E37_79B9_7F4A_7C15;
-}
-
-impl Hasher for BlockHasher {
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        let h = (self.0 ^ n).wrapping_mul(Self::K);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
+/// Deterministic multiplicative hasher for [`BlockId`] keys: a block id is
+/// one `u64`, so hashing it is one golden-ratio multiply and fold (see
+/// [`FoldHasher`](vrcache_mem::hash::FoldHasher)).
+pub use vrcache_mem::hash::FoldHasher as BlockHasher;
 
 /// Validated geometry of a set-associative cache.
 ///
@@ -184,10 +155,11 @@ impl CacheGeometry {
         self.assoc
     }
 
-    /// Number of sets.
+    /// Number of sets: `size / (block * assoc)`, computed as a shift
+    /// because all three are validated powers of two.
     #[inline]
     pub const fn sets(&self) -> u64 {
-        self.size_bytes / (self.block_bytes * self.assoc as u64)
+        self.size_bytes >> (self.block_bytes.trailing_zeros() + self.assoc.trailing_zeros())
     }
 
     /// Total number of blocks (lines).
@@ -419,6 +391,25 @@ mod tests {
         // block * assoc > size
         assert!(CacheGeometry::new(64, 32, 4).is_err());
         assert!(CacheGeometry::new(16 * 1024, 16, 1).is_ok());
+    }
+
+    #[test]
+    fn shifted_set_count_equals_the_quotient_up_to_one_mebibyte() {
+        let pow2 = |max_bits: u32| (0..=max_bits).map(|b| 1u64 << b);
+        let mut checked = 0;
+        for size in pow2(20) {
+            for block in pow2(20) {
+                for assoc in pow2(20) {
+                    let Ok(g) = CacheGeometry::new(size, block, assoc as u32) else {
+                        continue;
+                    };
+                    assert_eq!(g.sets(), size / (block * assoc), "{g:?}");
+                    checked += 1;
+                }
+            }
+        }
+        // Every (size, block, assoc) exponent triple with block + assoc <= size.
+        assert_eq!(checked, (1..=21).map(|n| n * (n + 1) / 2).sum::<u64>());
     }
 
     #[test]

@@ -88,6 +88,8 @@ pub struct RrHierarchy {
     granule_geo: CacheGeometry,
     page: vrcache_mem::page::PageSize,
     drain_period: u64,
+    /// References left until the write buffer next drains one entry.
+    drain_in: u64,
     refs: u64,
     last_wb_at: Option<u64>,
     /// Modeled parity and data protection, with the outstanding
@@ -141,6 +143,7 @@ impl RrHierarchy {
             granule_geo: cfg.l1,
             page: cfg.page,
             drain_period: cfg.wb_drain_period.max(1),
+            drain_in: cfg.wb_drain_period.max(1),
             refs: 0,
             last_wb_at: None,
             faults: PoisonLog::new(cfg),
@@ -555,7 +558,9 @@ impl CacheHierarchy for RrHierarchy {
         debug_assert_eq!(access.cpu, self.cpu);
         self.scrub_poison();
         self.refs += 1;
-        if self.refs.is_multiple_of(self.drain_period) {
+        self.drain_in -= 1;
+        if self.drain_in == 0 {
+            self.drain_in = self.drain_period;
             if let Some(e) = self.wb.drain_one() {
                 self.complete_writeback(e.block, e.payload, bus);
             }

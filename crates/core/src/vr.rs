@@ -71,6 +71,8 @@ pub struct VrHierarchy {
     cs_policy: ContextSwitchPolicy,
     protocol: CoherenceProtocol,
     drain_period: u64,
+    /// References left until the write buffer next drains one entry.
+    drain_in: u64,
     /// Reference clock (this CPU's references), for interval histograms.
     refs: u64,
     last_wb_at: Option<u64>,
@@ -137,6 +139,7 @@ impl VrHierarchy {
             cs_policy: cfg.context_switch_policy,
             protocol: cfg.protocol,
             drain_period: cfg.wb_drain_period.max(1),
+            drain_in: cfg.wb_drain_period.max(1),
             refs: 0,
             last_wb_at: None,
             last_swapped_wb_at: None,
@@ -640,7 +643,9 @@ impl CacheHierarchy for VrHierarchy {
         // The write buffer drains in parallel with processor execution: one
         // pending write-back completes per drain period (the second level
         // retires one write per t2/t1 first-level cycles).
-        if self.refs.is_multiple_of(self.drain_period) {
+        self.drain_in -= 1;
+        if self.drain_in == 0 {
+            self.drain_in = self.drain_period;
             if let Some(e) = self.wb.drain_one() {
                 self.complete_writeback(e.block, e.payload);
             }

@@ -42,6 +42,7 @@
 pub mod access;
 pub mod addr;
 pub mod error;
+pub mod hash;
 pub mod page;
 pub mod page_table;
 pub mod tlb;

@@ -8,15 +8,23 @@
 //! the case the paper's R-cache reverse-translation machinery exists to
 //! handle.
 
-use std::collections::BTreeMap;
+use core::hash::BuildHasherDefault;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};
 
 use crate::addr::{Asid, PhysAddr, Ppn, VirtAddr, Vpn};
 use crate::error::MemError;
+use crate::hash::FoldHasher;
 use crate::page::PageSize;
 
 /// A deterministic multi-address-space page table with a frame allocator.
+///
+/// Translation is one hash probe: every address space shares a single
+/// `(asid, vpn) → ppn` table hashed with [`FoldHasher`]. Frames are handed
+/// out densely from 0 in first-touch order, so the reverse map is a vector
+/// indexed by frame number.
 ///
 /// # Example
 ///
@@ -41,11 +49,12 @@ use crate::page::PageSize;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MemoryMap {
     page: PageSize,
-    /// Forward mappings, one map per address space.
-    spaces: BTreeMap<Asid, BTreeMap<Vpn, Ppn>>,
-    /// Reverse mappings: which (asid, vpn) pairs name each frame.
-    reverse: BTreeMap<Ppn, Vec<(Asid, Vpn)>>,
-    next_frame: Ppn,
+    /// Forward mappings of every address space.
+    forward: HashMap<(Asid, Vpn), Ppn, BuildHasherDefault<FoldHasher>>,
+    /// Reverse mappings, indexed by frame number: which (asid, vpn) pairs
+    /// name each frame, in mapping order. Its length is the number of
+    /// frames allocated.
+    reverse: Vec<Vec<(Asid, Vpn)>>,
 }
 
 impl MemoryMap {
@@ -54,9 +63,8 @@ impl MemoryMap {
     pub fn new(page: PageSize) -> Self {
         MemoryMap {
             page,
-            spaces: BTreeMap::new(),
-            reverse: BTreeMap::new(),
-            next_frame: Ppn::new(0),
+            forward: HashMap::default(),
+            reverse: Vec::new(),
         }
     }
 
@@ -68,40 +76,33 @@ impl MemoryMap {
 
     /// Number of physical frames allocated so far.
     pub fn frames_allocated(&self) -> u64 {
-        self.next_frame.raw()
+        self.reverse.len() as u64
     }
 
     /// Translates a virtual address, returning `None` if its page is
     /// unmapped.
     pub fn translate(&self, asid: Asid, va: VirtAddr) -> Option<PhysAddr> {
-        let vpn = self.page.vpn_of(va);
-        let ppn = *self.spaces.get(&asid)?.get(&vpn)?;
+        let ppn = self.translate_vpn(asid, self.page.vpn_of(va))?;
         Some(self.page.rebase(va, ppn))
     }
 
     /// Translates a virtual page number, returning `None` if unmapped.
     pub fn translate_vpn(&self, asid: Asid, vpn: Vpn) -> Option<Ppn> {
-        self.spaces.get(&asid)?.get(&vpn).copied()
+        self.forward.get(&(asid, vpn)).copied()
     }
 
     /// Translates a virtual address, demand-mapping a fresh frame for its
     /// page if it was unmapped. This is the common path for the synthetic
     /// workload generator: every touched page gets a unique frame unless an
     /// [`alias`](Self::alias) was installed first.
+    #[inline]
     pub fn translate_or_map(&mut self, asid: Asid, va: VirtAddr) -> PhysAddr {
         let vpn = self.page.vpn_of(va);
-        let page = self.page;
-        let ppn = match self.spaces.entry(asid).or_default().entry(vpn) {
-            std::collections::btree_map::Entry::Occupied(e) => *e.get(),
-            std::collections::btree_map::Entry::Vacant(e) => {
-                let ppn = self.next_frame;
-                self.next_frame = self.next_frame.next();
-                e.insert(ppn);
-                self.reverse.entry(ppn).or_default().push((asid, vpn));
-                ppn
-            }
+        let ppn = match self.forward.entry((asid, vpn)) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => *e.insert(Self::allocate(&mut self.reverse, asid, vpn)),
         };
-        page.rebase(va, ppn)
+        self.page.rebase(va, ppn)
     }
 
     /// Maps `va`'s page in `asid` to a fresh frame.
@@ -111,14 +112,10 @@ impl MemoryMap {
     /// Returns [`MemError::AlreadyMapped`] if the page is already mapped.
     pub fn map_fresh(&mut self, asid: Asid, va: VirtAddr) -> Result<Ppn, MemError> {
         let vpn = self.page.vpn_of(va);
-        if self.spaces.entry(asid).or_default().contains_key(&vpn) {
-            return Err(MemError::AlreadyMapped);
+        match self.forward.entry((asid, vpn)) {
+            Entry::Occupied(_) => Err(MemError::AlreadyMapped),
+            Entry::Vacant(e) => Ok(*e.insert(Self::allocate(&mut self.reverse, asid, vpn))),
         }
-        let ppn = self.next_frame;
-        self.next_frame = self.next_frame.next();
-        self.spaces.entry(asid).or_default().insert(vpn, ppn);
-        self.reverse.entry(ppn).or_default().push((asid, vpn));
-        Ok(ppn)
     }
 
     /// Installs a *synonym*: maps `va`'s page in `asid` onto the existing
@@ -131,22 +128,33 @@ impl MemoryMap {
     /// (aliasing an arbitrary frame would break the sequential allocator's
     /// invariants).
     pub fn alias(&mut self, asid: Asid, va: VirtAddr, ppn: Ppn) -> Result<(), MemError> {
-        if ppn.raw() >= self.next_frame.raw() {
-            return Err(MemError::Unmapped);
-        }
+        let names = self
+            .reverse
+            .get_mut(ppn.raw() as usize)
+            .ok_or(MemError::Unmapped)?;
         let vpn = self.page.vpn_of(va);
-        let space = self.spaces.entry(asid).or_default();
-        if space.contains_key(&vpn) {
-            return Err(MemError::AlreadyMapped);
+        match self.forward.entry((asid, vpn)) {
+            Entry::Occupied(_) => Err(MemError::AlreadyMapped),
+            Entry::Vacant(e) => {
+                e.insert(ppn);
+                names.push((asid, vpn));
+                Ok(())
+            }
         }
-        space.insert(vpn, ppn);
-        self.reverse.entry(ppn).or_default().push((asid, vpn));
-        Ok(())
+    }
+
+    /// Hands out the next frame, named by `(asid, vpn)`.
+    fn allocate(reverse: &mut Vec<Vec<(Asid, Vpn)>>, asid: Asid, vpn: Vpn) -> Ppn {
+        let ppn = Ppn::new(reverse.len() as u64);
+        reverse.push(vec![(asid, vpn)]);
+        ppn
     }
 
     /// Returns every (asid, vpn) pair mapped to `ppn` — all names of a frame.
     pub fn synonyms_of(&self, ppn: Ppn) -> &[(Asid, Vpn)] {
-        self.reverse.get(&ppn).map(Vec::as_slice).unwrap_or(&[])
+        self.reverse
+            .get(ppn.raw() as usize)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Returns true if `ppn` is named by more than one virtual page.
@@ -154,17 +162,23 @@ impl MemoryMap {
         self.synonyms_of(ppn).len() > 1
     }
 
-    /// Iterates over the mapped virtual pages of one address space.
+    /// Iterates over the mapped virtual pages of one address space, in
+    /// VPN order. Collects and sorts that space's mappings on each call.
     pub fn iter_space(&self, asid: Asid) -> impl Iterator<Item = (Vpn, Ppn)> + '_ {
-        self.spaces
-            .get(&asid)
-            .into_iter()
-            .flat_map(|m| m.iter().map(|(v, p)| (*v, *p)))
+        let mut pages: Vec<(Vpn, Ppn)> = self
+            .forward
+            .iter()
+            .filter(|((a, _), _)| *a == asid)
+            .map(|((_, v), p)| (*v, *p))
+            .collect();
+        pages.sort_unstable();
+        pages.into_iter()
     }
 
     /// Number of distinct address spaces that have at least one mapping.
     pub fn space_count(&self) -> usize {
-        self.spaces.len()
+        let asids: BTreeSet<Asid> = self.forward.keys().map(|(a, _)| *a).collect();
+        asids.len()
     }
 }
 

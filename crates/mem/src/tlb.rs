@@ -80,14 +80,17 @@ impl TlbConfig {
         self.ways
     }
 
-    /// Number of sets (`entries / ways`).
+    /// Number of sets: `entries / ways`, computed as a shift because both
+    /// are validated powers of two.
+    #[inline]
     pub fn sets(&self) -> u32 {
-        self.entries / self.ways
+        self.entries >> self.ways.trailing_zeros()
     }
 }
 
 impl Default for TlbConfig {
-    /// 64 entries, fully... no: 2-way, a common late-1980s design point.
+    /// 64 entries, 2-way set-associative: a common late-1980s design
+    /// point.
     fn default() -> Self {
         TlbConfig {
             entries: 64,
@@ -386,6 +389,22 @@ mod tests {
         assert_eq!(c.sets(), 16);
         assert_eq!(c.ways(), 4);
         assert_eq!(c.entries(), 64);
+    }
+
+    #[test]
+    fn shifted_set_count_equals_the_quotient_up_to_2_pow_20_entries() {
+        let mut checked = 0;
+        for entries in (0..=20).map(|b| 1u32 << b) {
+            for ways in (0..=20).map(|b| 1u32 << b) {
+                let Ok(c) = TlbConfig::new(entries, ways) else {
+                    continue;
+                };
+                assert_eq!(c.sets(), entries / ways, "{c:?}");
+                checked += 1;
+            }
+        }
+        // Every (entries, ways) exponent pair with ways <= entries.
+        assert_eq!(checked, 21 * 22 / 2);
     }
 
     #[test]

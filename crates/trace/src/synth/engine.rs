@@ -8,6 +8,7 @@
 //! instruction/data and read/write mixes on their configured targets.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -121,6 +122,31 @@ impl CallBurstWeights {
     }
 }
 
+/// The three Zipf samplers a process engine draws from: callee
+/// popularity, hot global words and shared words.
+///
+/// They depend only on the workload config, so a trace builds them once
+/// and every engine of the trace shares them.
+#[derive(Debug)]
+pub(crate) struct ZipfTables {
+    func: Zipf,
+    hot: Zipf,
+    shared: Zipf,
+}
+
+impl ZipfTables {
+    /// Builds the three samplers for `cfg`, validating in the order
+    /// functions, hot words, shared words.
+    pub(crate) fn new(cfg: &WorkloadConfig) -> Result<Arc<Self>, SynthConfigError> {
+        let shared_words = cfg.shared_pages as u64 * cfg.page_size.bytes() / WORD_BYTES;
+        Ok(Arc::new(ZipfTables {
+            func: Zipf::new(cfg.code_funcs.max(1) as u64, cfg.func_zipf_s)?,
+            hot: Zipf::new(cfg.hot_words.max(1) as u64, cfg.hot_zipf_s)?,
+            shared: Zipf::new(shared_words.max(1), cfg.shared_zipf_s)?,
+        }))
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     ret_pc: u64,
@@ -143,9 +169,7 @@ pub struct ProcessEngine {
     rng: StdRng,
     layout: ProcessLayout,
     cfg: WorkloadConfig,
-    func_zipf: Zipf,
-    hot_zipf: Zipf,
-    shared_zipf: Zipf,
+    zipf: Arc<ZipfTables>,
     burst: CallBurstWeights,
 
     pc: u64,
@@ -176,19 +200,25 @@ impl ProcessEngine {
     /// Returns a [`SynthConfigError`] if a Zipf exponent or the custom
     /// call-burst distribution in `cfg` is invalid.
     pub fn new(cfg: &WorkloadConfig, asid: Asid) -> Result<Self, SynthConfigError> {
+        Self::with_zipf(cfg, asid, ZipfTables::new(cfg)?)
+    }
+
+    /// [`new`](Self::new) with Zipf samplers already built for `cfg`.
+    pub(crate) fn with_zipf(
+        cfg: &WorkloadConfig,
+        asid: Asid,
+        zipf: Arc<ZipfTables>,
+    ) -> Result<Self, SynthConfigError> {
         let layout = ProcessLayout::for_asid(asid);
         let seed = cfg
             .seed
             .wrapping_mul(0x1000_0000_01B3)
             .wrapping_add(asid.raw() as u64 + 1);
-        let shared_words = cfg.shared_pages as u64 * cfg.page_size.bytes() / WORD_BYTES;
         Ok(ProcessEngine {
             asid,
             rng: StdRng::seed_from_u64(seed),
             layout,
-            func_zipf: Zipf::new(cfg.code_funcs.max(1) as u64, cfg.func_zipf_s)?,
-            hot_zipf: Zipf::new(cfg.hot_words.max(1) as u64, cfg.hot_zipf_s)?,
-            shared_zipf: Zipf::new(shared_words.max(1), cfg.shared_zipf_s)?,
+            zipf,
             burst: match cfg.call_burst_weights.as_ref() {
                 Some(w) => CallBurstWeights::new(w.clone())?,
                 None => CallBurstWeights::default(),
@@ -319,7 +349,7 @@ impl ProcessEngine {
             self.call_stack.clear();
         }
         self.sp -= frame_bytes;
-        let callee = self.func_zipf.sample(&mut self.rng);
+        let callee = self.zipf.func.sample(&mut self.rng);
         // Function entries are staggered so prologues spread over cache
         // sets instead of all landing at page-aligned addresses.
         let callee_base = self.layout.code_base + callee * self.cfg.func_bytes + (callee % 64) * 64;
@@ -356,7 +386,7 @@ impl ProcessEngine {
         let cfg = &self.cfg;
         let roll: f64 = self.rng.gen();
         if roll < cfg.p_shared {
-            let word = self.shared_zipf.sample(&mut self.rng);
+            let word = self.zipf.shared.sample(&mut self.rng);
             let base = if self.rng.gen::<f64>() < cfg.p_synonym_alias {
                 self.layout.shared_alias_base
             } else {
@@ -366,7 +396,7 @@ impl ProcessEngine {
         } else if roll < cfg.p_shared + cfg.p_stack {
             self.sp + self.rng.gen_range(0..32) * WORD_BYTES
         } else if roll < cfg.p_shared + cfg.p_stack + cfg.p_global {
-            self.layout.global_base + self.hot_zipf.sample(&mut self.rng) * WORD_BYTES
+            self.layout.global_base + self.zipf.hot.sample(&mut self.rng) * WORD_BYTES
         } else {
             self.heap_refs += 1;
             if self.cfg.drift_period > 0 && self.heap_refs.is_multiple_of(self.cfg.drift_period) {

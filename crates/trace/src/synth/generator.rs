@@ -1,6 +1,7 @@
 //! Workload orchestration: processes, scheduling, translation, interleaving.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -8,7 +9,7 @@ use vrcache_mem::access::CpuId;
 use vrcache_mem::addr::{Asid, Ppn, VirtAddr};
 use vrcache_mem::page_table::MemoryMap;
 
-use super::engine::{ProcessEngine, ProcessLayout};
+use super::engine::{ProcessEngine, ProcessLayout, ZipfTables};
 use super::{SynthConfigError, WorkloadConfig};
 use crate::record::{MemAccess, TraceEvent};
 use crate::trace::Trace;
@@ -50,8 +51,9 @@ pub fn try_generate(cfg: &WorkloadConfig) -> Result<Trace, SynthConfigError> {
 /// # Panics
 ///
 /// Panics if `cfg.cpus`, `cfg.processes_per_cpu` or `cfg.total_refs` is
-/// zero, if `cfg.shared_pages` is zero while `cfg.p_shared > 0`, or if
-/// a Zipf exponent or custom burst distribution is invalid; see
+/// zero, if `cfg.cpus × cfg.processes_per_cpu` exceeds 65535, if
+/// `cfg.shared_pages` is zero while `cfg.p_shared > 0`, or if a Zipf
+/// exponent or custom burst distribution is invalid; see
 /// [`try_generate_with_report`] for the fallible form.
 pub fn generate_with_report(cfg: &WorkloadConfig) -> (Trace, GenerationReport) {
     try_generate_with_report(cfg).expect("valid workload config")
@@ -63,9 +65,13 @@ pub fn generate_with_report(cfg: &WorkloadConfig) -> (Trace, GenerationReport) {
 ///
 /// Returns [`SynthConfigError::ZeroCpus`], [`SynthConfigError::ZeroProcesses`]
 /// or [`SynthConfigError::ZeroRefs`] for zero volume parameters,
-/// [`SynthConfigError::SharedPagesZero`] when shared accesses are configured
-/// without a shared segment, and propagates the per-process engine's
-/// Zipf/burst validation errors.
+/// [`SynthConfigError::TooManyProcesses`] when the processes outnumber the
+/// nonzero ASIDs, [`SynthConfigError::SharedPagesZero`] when shared
+/// accesses are configured without a shared segment, and propagates the
+/// Zipf/burst validation errors of [`ProcessEngine::new`].
+///
+/// The Zipf samplers depend only on `cfg`, so they are built once here
+/// and shared by every process engine of the trace.
 pub fn try_generate_with_report(
     cfg: &WorkloadConfig,
 ) -> Result<(Trace, GenerationReport), SynthConfigError> {
@@ -75,6 +81,11 @@ pub fn try_generate_with_report(
     if cfg.processes_per_cpu == 0 {
         return Err(SynthConfigError::ZeroProcesses);
     }
+    // ASID 0 is the kernel's; every process needs its own nonzero ASID.
+    let processes = u32::from(cfg.cpus) * u32::from(cfg.processes_per_cpu);
+    if processes > u32::from(u16::MAX) {
+        return Err(SynthConfigError::TooManyProcesses(processes));
+    }
     if cfg.total_refs == 0 {
         return Err(SynthConfigError::ZeroRefs);
     }
@@ -82,6 +93,7 @@ pub fn try_generate_with_report(
         return Err(SynthConfigError::SharedPagesZero);
     }
 
+    let zipf = ZipfTables::new(cfg)?;
     let page = cfg.page_size;
     let mut map = MemoryMap::new(page);
 
@@ -109,7 +121,7 @@ pub fn try_generate_with_report(
                 map.alias(asid, VirtAddr::new(layout.shared_alias_base + off), *ppn)
                     .expect("synonym alias maps once per process");
             }
-            per_cpu.push(ProcessEngine::new(cfg, asid)?);
+            per_cpu.push(ProcessEngine::with_zipf(cfg, asid, Arc::clone(&zipf))?);
         }
         engines.push(per_cpu);
     }
@@ -189,7 +201,7 @@ pub fn try_generate_with_report(
 
     let mut report = GenerationReport {
         frames_allocated: map.frames_allocated(),
-        processes: cfg.cpus as u32 * cfg.processes_per_cpu as u32,
+        processes,
         ..GenerationReport::default()
     };
     for per_cpu in &engines {
@@ -387,6 +399,29 @@ mod tests {
             try_generate(&c).unwrap_err(),
             SynthConfigError::ZipfBadTheta(_)
         ));
+    }
+
+    #[test]
+    fn process_count_is_bounded_by_the_nonzero_asids() {
+        let many = |cpus, processes_per_cpu| WorkloadConfig {
+            cpus,
+            processes_per_cpu,
+            total_refs: 1_000,
+            shared_pages: 1,
+            ..WorkloadConfig::default()
+        };
+        // 2 × 40000 used to wrap the u16 ASID onto the kernel's and panic.
+        assert_eq!(
+            try_generate(&many(2, 40_000)).unwrap_err(),
+            SynthConfigError::TooManyProcesses(80_000)
+        );
+        assert_eq!(
+            try_generate(&many(2, 32_768)).unwrap_err(),
+            SynthConfigError::TooManyProcesses(65_536)
+        );
+        let (t, report) = try_generate_with_report(&many(3, 21_845)).unwrap();
+        assert_eq!(report.processes, 65_535);
+        assert_eq!(t.summary().total_refs, 1_000);
     }
 
     #[test]

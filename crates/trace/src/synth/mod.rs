@@ -58,6 +58,9 @@ pub enum SynthConfigError {
     ZeroCpus,
     /// `processes_per_cpu` was zero.
     ZeroProcesses,
+    /// `cpus × processes_per_cpu` (the value carried) exceeds 65535, the
+    /// number of nonzero ASIDs: ASID 0 is the kernel's.
+    TooManyProcesses(u32),
     /// `total_refs` was zero.
     ZeroRefs,
     /// `p_shared > 0` but `shared_pages == 0`.
@@ -78,6 +81,10 @@ impl fmt::Display for SynthConfigError {
             }
             SynthConfigError::ZeroCpus => write!(f, "need at least one cpu"),
             SynthConfigError::ZeroProcesses => write!(f, "need at least one process per cpu"),
+            SynthConfigError::TooManyProcesses(n) => write!(
+                f,
+                "cpus x processes_per_cpu = {n} exceeds the 65535 nonzero ASIDs"
+            ),
             SynthConfigError::ZeroRefs => write!(f, "need at least one reference"),
             SynthConfigError::SharedPagesZero => {
                 write!(f, "shared accesses configured but shared_pages is zero")
