@@ -4,23 +4,28 @@
 //! repro [--scale S] [--jobs N] [artifact ...]
 //!
 //!   --scale S   trace volume relative to the paper (default 1.0)
-//!   --jobs N    worker threads (default: host parallelism, max 16);
+//!   --jobs N    simulation threads (default: host parallelism, max 4);
 //!               stdout is byte-identical for any value
 //!   artifact    table1 table2 table3 table5 table6 table7
 //!               fig4 fig5 fig6 tables8-10 tables11-13 inclusion ablations scaling traffic goodman assoc protocols
 //!               (default: everything)
 //! ```
 //!
-//! Artifacts fan out over the deterministic `vrcache-exec` substrate:
-//! each cell renders one artifact against a fresh `ExperimentCtx` (a
-//! pure memo, so the bytes never depend on sharing), results are
-//! reduced in artifact order, and per-artifact wall-clock progress goes
-//! to stderr only.
+//! Artifacts render one after another, in the order given. Each lists
+//! its simulations as cells of a fresh `ExperimentCtx`, which runs them
+//! on the deterministic `vrcache-exec` pool with `N` workers and reduces
+//! them in cell order. `--jobs 1` therefore runs every simulation on
+//! one thread, and no value changes the bytes. Per-artifact wall clock
+//! and work counters (cells simulated, references replayed) go to
+//! stderr only.
 
+use std::io::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 
 use vrcache_bench::Artifact;
-use vrcache_exec::{human_duration, parse_jobs, resolve_jobs, run_cells_observed};
+use vrcache_exec::{human_duration, parse_jobs, resolve_jobs, time_fn, MAX_JOBS};
+use vrcache_sim::experiments::{parse_scale, ExperimentCtx};
 
 fn main() -> ExitCode {
     let mut scale = 1.0_f64;
@@ -29,19 +34,19 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--scale" => {
-                let Some(v) = args.next().and_then(|s| s.parse::<f64>().ok()) else {
-                    eprintln!("--scale needs a number in (0, 1]");
+            "--scale" => match parse_scale(&args.next().unwrap_or_default()) {
+                Ok(v) => scale = v,
+                Err(e) => {
+                    eprintln!("error: {e}");
                     return ExitCode::FAILURE;
-                };
-                scale = v;
-            }
+                }
+            },
             "--jobs" => {
                 let value = args.next().unwrap_or_default();
                 match parse_jobs(&value) {
                     Ok(n) => jobs = Some(n),
                     Err(e) => {
-                        eprintln!("{e}");
+                        eprintln!("error: {e}");
                         return ExitCode::FAILURE;
                     }
                 }
@@ -56,54 +61,44 @@ fn main() -> ExitCode {
             name => match Artifact::parse(name) {
                 Some(a) => artifacts.push(a),
                 None => {
-                    eprintln!("unknown artifact: {name}");
+                    eprintln!("error: unknown artifact: {name}");
                     return ExitCode::FAILURE;
                 }
             },
         }
     }
-    if !(scale > 0.0 && scale <= 1.0) {
-        eprintln!("scale must be in (0, 1], got {scale}");
-        return ExitCode::FAILURE;
-    }
     if artifacts.is_empty() {
         artifacts = Artifact::ALL.to_vec();
     }
 
-    let jobs = resolve_jobs(jobs, artifacts.len());
+    let jobs = resolve_jobs(jobs, MAX_JOBS);
     eprintln!(
         "[repro] {} artifact(s), {jobs} worker(s), scale {scale}",
         artifacts.len()
     );
-    let results = run_cells_observed(
-        jobs,
-        &artifacts,
-        |_, artifact| artifact.render(scale),
-        |event| {
-            eprintln!(
-                "[repro] [{}/{}] {:?} {} in {}",
-                event.done,
-                event.total,
-                artifacts[event.index],
-                if event.result.is_ok() {
-                    "rendered"
-                } else {
-                    "PANICKED"
-                },
-                human_duration(event.duration)
-            );
-        },
-    );
-
-    println!("# vrcache reproduction (scale {scale})\n");
-    for (artifact, cell) in artifacts.iter().zip(results) {
-        match cell.result {
-            Ok(rendered) => print!("{rendered}"),
-            Err(failure) => {
-                eprintln!("[repro] {artifact:?} failed: {failure}");
-                return ExitCode::FAILURE;
-            }
-        }
+    let mut stdout = std::io::stdout().lock();
+    let _ = writeln!(stdout, "# vrcache reproduction (scale {scale})\n");
+    for (i, artifact) in artifacts.iter().enumerate() {
+        let mut ctx = ExperimentCtx::new(scale).with_jobs(jobs);
+        let (rendered, duration) =
+            time_fn(|| catch_unwind(AssertUnwindSafe(|| artifact.render_in(&mut ctx))));
+        let Ok(rendered) = rendered else {
+            eprintln!("[repro] {artifact:?} failed");
+            return ExitCode::FAILURE;
+        };
+        let work = ctx.work();
+        eprintln!(
+            "[repro] [{}/{}] {artifact:?} rendered in {}: {} cells, {} refs replayed",
+            i + 1,
+            artifacts.len(),
+            human_duration(duration),
+            work.cells,
+            work.refs
+        );
+        let _ = write!(stdout, "{rendered}");
+    }
+    if stdout.flush().is_err() {
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

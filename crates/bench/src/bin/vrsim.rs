@@ -28,6 +28,7 @@ use vrcache::layout::TagLayout;
 use vrcache_cache::geometry::CacheGeometry;
 use vrcache_mem::access::CpuId;
 use vrcache_mem::page::PageSize;
+use vrcache_sim::experiments::parse_scale;
 use vrcache_sim::system::{HierarchyKind, System};
 use vrcache_trace::analysis::{reuse_histogram, working_set_curve};
 use vrcache_trace::codec;
@@ -88,14 +89,11 @@ fn load_trace(flags: &HashMap<String, String>) -> Result<Trace, String> {
     }
     let preset = flags.get("preset").map(String::as_str).unwrap_or("pops");
     let preset = preset_of(preset).ok_or_else(|| format!("unknown preset: {preset}"))?;
-    let scale: f64 = flags
+    let scale = flags
         .get("scale")
-        .map(|s| s.parse().map_err(|_| format!("bad scale: {s}")))
+        .map(|s| parse_scale(s).map_err(|e| e.to_string()))
         .transpose()?
         .unwrap_or(0.05);
-    if !(scale > 0.0 && scale <= 1.0) {
-        return Err(format!("scale must be in (0,1], got {scale}"));
-    }
     eprintln!("[vrsim] generating {preset} at scale {scale} ...");
     Ok(preset.generate_scaled(scale))
 }

@@ -4,8 +4,9 @@
 
 //! Shared helpers for the benchmark harness and the `repro` binary.
 
-use vrcache_sim::experiments::{self, ExperimentCtx};
+use vrcache_sim::experiments::{self, access_time, hit_ratios, ExperimentCtx};
 use vrcache_sim::report::TableReport;
+use vrcache_trace::presets::TracePreset;
 
 /// Every artifact of the paper's evaluation that the harness can
 /// regenerate.
@@ -104,10 +105,9 @@ impl Artifact {
     /// Regenerates this artifact, returning its rendered tables.
     pub fn run(self, ctx: &mut ExperimentCtx) -> Vec<TableReport> {
         use vrcache_sim::experiments::{
-            ablation, access_time, assoc, coherence, hit_ratios, protocols, scaling, single_level,
-            split_id, table5, tables_write, traffic,
+            ablation, assoc, coherence, protocols, scaling, single_level, split_id, table5,
+            tables_write, traffic,
         };
-        use vrcache_trace::presets::TracePreset;
         match self {
             Artifact::Table1 => vec![tables_write::table1(ctx)],
             Artifact::Table2 => vec![tables_write::table2(ctx)],
@@ -115,28 +115,9 @@ impl Artifact {
             Artifact::Table5 => vec![table5::table5(ctx)],
             Artifact::Table6 => vec![hit_ratios::table6(ctx).0],
             Artifact::Table7 => vec![hit_ratios::table7(ctx).0],
-            Artifact::Fig4 | Artifact::Fig5 | Artifact::Fig6 => {
-                let (preset, no) = match self {
-                    Artifact::Fig4 => (TracePreset::Thor, 4),
-                    Artifact::Fig5 => (TracePreset::Pops, 5),
-                    _ => (TracePreset::Abaqus, 6),
-                };
-                let (_, rows) = hit_ratios::table6(ctx);
-                let fig = access_time::figure(preset, &experiments::LARGE_PAIRS, &rows, 10.0, 20);
-                let mut tables = vec![access_time::render(&fig, no)];
-                let mut xo = TableReport::new(
-                    format!("Figure {no} cross-over points ({preset})"),
-                    vec!["sizes", "crossover %"],
-                );
-                for (pair, x) in fig.crossovers() {
-                    xo.row(vec![
-                        experiments::pair_label(pair),
-                        x.map(|v| format!("{v:.1}")).unwrap_or_else(|| ">10".into()),
-                    ]);
-                }
-                tables.push(xo);
-                tables
-            }
+            Artifact::Fig4 => figure_tables(ctx, TracePreset::Thor, 4),
+            Artifact::Fig5 => figure_tables(ctx, TracePreset::Pops, 5),
+            Artifact::Fig6 => figure_tables(ctx, TracePreset::Abaqus, 6),
             Artifact::Tables8To10 => split_id::tables_8_9_10(ctx),
             Artifact::Tables11To13 => coherence::tables_11_12_13(ctx),
             Artifact::Inclusion => {
@@ -159,7 +140,7 @@ impl Artifact {
             Artifact::Scaling => {
                 // Scale the per-CPU volume with the context's scale knob.
                 let refs_per_cpu = ((800_000.0 * ctx.scale()) as u64).max(5_000);
-                let points = scaling::scaling_study(refs_per_cpu, &[2, 4, 8, 16]);
+                let points = scaling::scaling_study(ctx, refs_per_cpu, &[2, 4, 8, 16]);
                 vec![scaling::render(&points)]
             }
             Artifact::Traffic => vec![traffic::traffic_table(ctx)],
@@ -175,17 +156,14 @@ impl Artifact {
     /// Renders a figure artifact's curves as an ASCII chart (terminal
     /// companion to the series tables).
     pub fn chart(self, ctx: &mut ExperimentCtx) -> Option<String> {
-        use vrcache_sim::experiments::{access_time, hit_ratios};
         use vrcache_sim::report::ascii_chart;
-        use vrcache_trace::presets::TracePreset;
         let preset = match self {
             Artifact::Fig4 => TracePreset::Thor,
             Artifact::Fig5 => TracePreset::Pops,
             Artifact::Fig6 => TracePreset::Abaqus,
             _ => return None,
         };
-        let (_, rows) = hit_ratios::table6(ctx);
-        let fig = access_time::figure(preset, &experiments::LARGE_PAIRS, &rows, 10.0, 20);
+        let fig = figure(ctx, preset);
         // Chart the largest configuration (the paper's most interesting).
         let (_, pts) = fig.curves.last()?;
         let vr: Vec<(f64, f64)> = pts.iter().map(|p| (p.slowdown_pct, p.t_vr)).collect();
@@ -194,23 +172,50 @@ impl Artifact {
     }
 
     /// Renders this artifact's full repro output — tables, then the
-    /// optional chart — exactly as the `repro` binary prints it. Each
-    /// render uses a fresh [`ExperimentCtx`] (a pure memo over the
-    /// deterministic trace generators), so the bytes are a pure function
-    /// of `(artifact, scale)`: the unit of work `repro --jobs N` fans
-    /// out without changing its output.
+    /// optional chart — exactly as the `repro` binary prints it, against
+    /// a fresh [`ExperimentCtx`] with the default worker count. The
+    /// bytes are a pure function of `(artifact, scale)`.
     pub fn render(self, scale: f64) -> String {
+        self.render_in(&mut ExperimentCtx::new(scale))
+    }
+
+    /// Renders this artifact's full repro output against `ctx`, whose
+    /// worker count and work counters the caller controls. The bytes
+    /// depend only on the artifact and `ctx`'s scale.
+    pub fn render_in(self, ctx: &mut ExperimentCtx) -> String {
         use std::fmt::Write as _;
-        let mut ctx = ExperimentCtx::new(scale);
         let mut out = String::new();
-        for table in self.run(&mut ctx) {
+        for table in self.run(ctx) {
             let _ = writeln!(out, "{table}");
         }
-        if let Some(chart) = self.chart(&mut ctx) {
+        if let Some(chart) = self.chart(ctx) {
             let _ = writeln!(out, "```text\n{chart}```\n");
         }
         out
     }
+}
+
+/// Figure 4, 5 or 6: the access-time curves of `preset`, built from its
+/// own Table 6 row (measured once per context).
+fn figure(ctx: &mut ExperimentCtx, preset: TracePreset) -> access_time::Figure {
+    let rows = hit_ratios::table6_rows(ctx, &[preset]);
+    access_time::figure(preset, &experiments::LARGE_PAIRS, &rows, 10.0, 20)
+}
+
+/// The series table and the cross-over table of figure `no`.
+fn figure_tables(ctx: &mut ExperimentCtx, preset: TracePreset, no: u32) -> Vec<TableReport> {
+    let fig = figure(ctx, preset);
+    let mut xo = TableReport::new(
+        format!("Figure {no} cross-over points ({preset})"),
+        vec!["sizes", "crossover %"],
+    );
+    for (pair, x) in fig.crossovers() {
+        xo.row(vec![
+            experiments::pair_label(pair),
+            x.map(|v| format!("{v:.1}")).unwrap_or_else(|| ">10".into()),
+        ]);
+    }
+    vec![access_time::render(&fig, no), xo]
 }
 
 #[cfg(test)]
@@ -237,26 +242,52 @@ mod tests {
         }
     }
 
-    /// The repro binary's fan-out, in miniature: rendering artifacts
-    /// through the exec substrate and concatenating in artifact order
-    /// must be byte-identical for any worker count.
+    /// The repro binary's loop, in miniature: rendering artifacts in
+    /// order, each on its own context with `jobs` cell workers, must be
+    /// byte-identical for any worker count.
     #[test]
     fn worker_count_never_changes_the_render() {
-        let artifacts = [Artifact::Table1, Artifact::Table2, Artifact::Table5];
+        let artifacts = [
+            Artifact::Table1,
+            Artifact::Table2,
+            Artifact::Table5,
+            Artifact::Table6,
+            Artifact::Fig5,
+            Artifact::Tables11To13,
+        ];
         let render_all = |jobs: usize| -> String {
-            vrcache_exec::run_cells(jobs, &artifacts, |_, a| a.render(0.002))
-                .into_iter()
-                .map(|cell| cell.result.expect("cheap artifacts render cleanly"))
+            artifacts
+                .iter()
+                .map(|a| a.render_in(&mut ExperimentCtx::new(0.002).with_jobs(jobs)))
                 .collect()
         };
         let baseline = render_all(1);
         assert!(baseline.contains("Table 1"), "sanity: rendered something");
+        assert!(baseline.contains("Table 13"), "sanity: rendered the grids");
         for jobs in [2, 8] {
             assert_eq!(
                 render_all(jobs),
                 baseline,
                 "jobs={jobs} must render byte-identical output"
             );
+        }
+    }
+
+    /// A figure simulates only its own trace's Table 6 row, and renders
+    /// the same bytes as one drawn from the full Table 6 grid.
+    #[test]
+    fn figures_render_alike_from_their_own_row_and_the_full_grid() {
+        for fig in [Artifact::Fig4, Artifact::Fig5, Artifact::Fig6] {
+            let mut own = ExperimentCtx::new(0.002);
+            let from_row = fig.render_in(&mut own);
+            assert_eq!(own.work().cells, 6, "{fig:?}: 3 pairs x 2 organizations");
+
+            let mut full = ExperimentCtx::new(0.002);
+            let (_, rows) = experiments::hit_ratios::table6(&mut full);
+            assert_eq!((rows.len(), full.work().cells), (3, 18));
+            let from_grid = fig.render_in(&mut full);
+            assert_eq!(full.work().cells, 18, "{fig:?} reuses the grid's row");
+            assert_eq!(from_row, from_grid, "{fig:?}");
         }
     }
 }

@@ -54,3 +54,15 @@ fn layout_rejects_malformed_numbers() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("strict-inclusion bound"));
 }
+
+#[test]
+fn bad_scales_are_rejected() {
+    assert_rejected(
+        &["inspect", "--preset", "pops", "--scale", "x"],
+        "bad scale: \"x\" is not a number",
+    );
+    assert_rejected(
+        &["inspect", "--preset", "pops", "--scale", "2"],
+        "scale must be in (0, 1], got 2",
+    );
+}

@@ -38,6 +38,12 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
+/// The sanctioned stopwatch, re-exported so a driver can time work it
+/// runs outside [`run_cells`] (a progress line for a sequential step)
+/// without depending on the bench harness. Stderr only, like every
+/// duration.
+pub use criterion::time_fn;
+
 /// Hard ceiling on the worker count, matching the widest machine the
 /// sweeps are tuned for; `--jobs` values above it are clamped.
 pub const MAX_JOBS: usize = 16;

@@ -13,10 +13,10 @@
 //!   write-backs at every switch (the paper's "over a hundred blocks"),
 //!   swapped-valid spreads the same write-backs over time.
 
-use vrcache::config::HierarchyConfig;
+use vrcache::config::{HierarchyConfig, L1WritePolicy};
 use vrcache_trace::presets::TracePreset;
 
-use super::{run_kind, ExperimentCtx};
+use super::{Cell, ExperimentCtx};
 use crate::report::{ratio, TableReport};
 use crate::system::HierarchyKind;
 
@@ -37,46 +37,37 @@ pub struct WritePolicyRow {
 
 /// Runs the write-policy ablation on *pops* at the 16K/256K point.
 pub fn write_policy_ablation(ctx: &mut ExperimentCtx) -> Vec<WritePolicyRow> {
-    let trace = ctx.trace(TracePreset::Pops).clone();
-    let mut rows = Vec::new();
-    for write_through in [false, true] {
-        for depth in [1usize, 2, 4, 8] {
-            let mut cfg = HierarchyConfig::direct_mapped(16 * 1024, 256 * 1024, 16)
-                .expect("valid")
-                .with_write_buffer(depth);
-            if write_through {
-                cfg = cfg.with_write_through();
+    let cells: Vec<Cell> = [false, true]
+        .into_iter()
+        .flat_map(|write_through| {
+            [1usize, 2, 4, 8].map(|depth| {
+                let cfg = HierarchyConfig::direct_mapped(16 * 1024, 256 * 1024, 16)
+                    .expect("valid")
+                    .with_write_buffer(depth);
+                let cfg = if write_through {
+                    cfg.with_write_through()
+                } else {
+                    cfg
+                };
+                Cell::new(TracePreset::Pops, cfg, HierarchyKind::Vr)
+            })
+        })
+        .collect();
+    let runs = ctx.run_cells(&cells);
+    cells
+        .iter()
+        .zip(&runs)
+        .map(|(cell, run)| {
+            let full_stalls: u64 = run.write_buffers.iter().map(|w| w.full_stalls).sum();
+            WritePolicyRow {
+                depth: cell.cfg.write_buffer,
+                write_through: cell.cfg.l1_write_policy == L1WritePolicy::WriteThrough,
+                h1: run.summary.h1,
+                stalls_per_kref: full_stalls as f64 / (run.summary.refs as f64 / 1000.0),
+                forwarded: run.events.iter().map(|e| e.wt_writes_forwarded).sum(),
             }
-            let (summary, full_stalls, forwarded) = buffer_stats(&trace, &cfg);
-            rows.push(WritePolicyRow {
-                depth,
-                write_through,
-                h1: summary.h1,
-                stalls_per_kref: full_stalls as f64 / (summary.refs as f64 / 1000.0),
-                forwarded,
-            });
-        }
-    }
-    rows
-}
-
-/// Runs a configuration and reads the write-buffer statistics (stalls)
-/// and forwarded-write counters off the hierarchies.
-fn buffer_stats(
-    trace: &vrcache_trace::trace::Trace,
-    cfg: &HierarchyConfig,
-) -> (crate::system::RunSummary, u64, u64) {
-    use vrcache_mem::access::CpuId;
-    let mut sys = crate::system::System::new(HierarchyKind::Vr, trace.cpus(), cfg);
-    let summary = sys.run_trace(trace).expect("clean run");
-    sys.check_invariants().expect("invariants hold");
-    let mut stalls = 0;
-    let mut forwarded = 0;
-    for c in 0..trace.cpus() {
-        forwarded += sys.events(CpuId::new(c)).wt_writes_forwarded;
-        stalls += sys.write_buffer_stats(CpuId::new(c)).full_stalls;
-    }
-    (summary, stalls, forwarded)
+        })
+        .collect()
 }
 
 /// Renders the write-policy ablation.
@@ -160,17 +151,20 @@ pub struct ContextSwitchRow {
 /// avoid the flush but "do not improve the hit ratio for a small V-cache"
 /// (and bring purge complexity the paper rejects).
 pub fn context_switch_ablation(ctx: &mut ExperimentCtx) -> Vec<ContextSwitchRow> {
-    let trace = ctx.trace(TracePreset::Abaqus).clone();
+    let cells = SwitchScheme::ALL.map(|scheme| {
+        let cfg = HierarchyConfig::direct_mapped(16 * 1024, 256 * 1024, 16).expect("valid");
+        let cfg = match scheme {
+            SwitchScheme::SwappedValid => cfg,
+            SwitchScheme::EagerFlush => cfg.with_eager_flush(),
+            SwitchScheme::AsidTags => cfg.with_asid_tags(),
+        };
+        Cell::new(TracePreset::Abaqus, cfg, HierarchyKind::Vr)
+    });
+    let runs = ctx.run_cells(&cells);
     SwitchScheme::ALL
         .iter()
-        .map(|scheme| {
-            let cfg = HierarchyConfig::direct_mapped(16 * 1024, 256 * 1024, 16).expect("valid");
-            let cfg = match scheme {
-                SwitchScheme::SwappedValid => cfg,
-                SwitchScheme::EagerFlush => cfg.with_eager_flush(),
-                SwitchScheme::AsidTags => cfg.with_asid_tags(),
-            };
-            let run = run_kind(&trace, &cfg, HierarchyKind::Vr);
+        .zip(&runs)
+        .map(|(scheme, run)| {
             let switches: u64 = run.events.iter().map(|e| e.context_switches).sum();
             let eager_writebacks: u64 = run.events.iter().map(|e| e.eager_flush_writebacks).sum();
             let swapped: u64 = run.events.iter().map(|e| e.swapped_writebacks).sum();

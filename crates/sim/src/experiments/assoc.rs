@@ -14,7 +14,7 @@ use vrcache_cache::geometry::CacheGeometry;
 use vrcache_mem::page::PageSize;
 use vrcache_trace::presets::TracePreset;
 
-use super::{run_kind, ExperimentCtx, BLOCK_BYTES};
+use super::{Cell, ExperimentCtx, BLOCK_BYTES};
 use crate::report::{ratio, TableReport};
 use crate::system::HierarchyKind;
 
@@ -37,27 +37,31 @@ pub struct AssocPoint {
 
 /// Sweeps (L1 ways, L2 ways) for the 16K/256K pair on `preset`.
 pub fn assoc_sweep(ctx: &mut ExperimentCtx, preset: TracePreset) -> Vec<AssocPoint> {
-    let trace = ctx.trace(preset).clone();
     let page = PageSize::SIZE_4K;
-    let mut points = Vec::new();
-    for l1_ways in [1u32, 2] {
-        for l2_ways in [1u32, 2, 4, 8] {
-            let l1 = CacheGeometry::new(16 * 1024, BLOCK_BYTES, l1_ways).expect("valid");
-            let l2 = CacheGeometry::new(256 * 1024, BLOCK_BYTES, l2_ways).expect("valid");
-            let required = min_l2_assoc_for_inclusion(&l1, &l2, page);
-            let cfg = HierarchyConfig::new(l1, l2, page).expect("valid");
-            let run = run_kind(&trace, &cfg, HierarchyKind::Vr);
-            points.push(AssocPoint {
-                l1_ways,
-                l2_ways,
-                required_ways: required,
-                h1: run.summary.h1,
-                h2: run.summary.h2_local,
-                inclusion_invalidations: run.events.iter().map(|e| e.inclusion_invalidations).sum(),
-            });
-        }
-    }
-    points
+    let cells: Vec<Cell> = [1u32, 2]
+        .into_iter()
+        .flat_map(|l1_ways| {
+            [1u32, 2, 4, 8].map(|l2_ways| {
+                let l1 = CacheGeometry::new(16 * 1024, BLOCK_BYTES, l1_ways).expect("valid");
+                let l2 = CacheGeometry::new(256 * 1024, BLOCK_BYTES, l2_ways).expect("valid");
+                let cfg = HierarchyConfig::new(l1, l2, page).expect("valid");
+                Cell::new(preset, cfg, HierarchyKind::Vr)
+            })
+        })
+        .collect();
+    let runs = ctx.run_cells(&cells);
+    cells
+        .iter()
+        .zip(&runs)
+        .map(|(cell, run)| AssocPoint {
+            l1_ways: cell.cfg.l1.assoc(),
+            l2_ways: cell.cfg.l2.assoc(),
+            required_ways: min_l2_assoc_for_inclusion(&cell.cfg.l1, &cell.cfg.l2, page),
+            h1: run.summary.h1,
+            h2: run.summary.h2_local,
+            inclusion_invalidations: run.events.iter().map(|e| e.inclusion_invalidations).sum(),
+        })
+        .collect()
 }
 
 /// Renders the sweep.

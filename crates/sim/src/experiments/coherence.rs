@@ -7,14 +7,12 @@
 //! R-R-without-inclusion interrogates the first level on every foreign
 //! transaction.
 
-use std::thread;
-
 use vrcache::config::HierarchyConfig;
 use vrcache_cache::geometry::CacheGeometry;
 use vrcache_mem::page::PageSize;
 use vrcache_trace::presets::TracePreset;
 
-use super::{paper_config, run_kind, ExperimentCtx, LARGE_PAIRS};
+use super::{paper_cells, Cell, ExperimentCtx, LARGE_PAIRS};
 use crate::report::TableReport;
 use crate::system::HierarchyKind;
 
@@ -29,37 +27,35 @@ pub struct CoherenceCell {
     pub rr_no_incl: Vec<u64>,
 }
 
-/// Measures one trace's coherence-message cells over the standard size
-/// pairs, running the three organizations of each pair in parallel.
-pub fn coherence_cells(ctx: &mut ExperimentCtx, preset: TracePreset) -> Vec<CoherenceCell> {
-    let trace = ctx.trace(preset).clone();
-    thread::scope(|s| {
-        let handles: Vec<_> = LARGE_PAIRS
+/// The organizations each cell compares, in cell order.
+const KINDS: [HierarchyKind; 3] = [
+    HierarchyKind::Vr,
+    HierarchyKind::RrInclusive,
+    HierarchyKind::RrNonInclusive,
+];
+
+/// Measures the coherence-message cells of each of `presets` over the
+/// standard size pairs: one `Vec` per preset, in size-pair order.
+pub fn coherence_grid(ctx: &mut ExperimentCtx, presets: &[TracePreset]) -> Vec<Vec<CoherenceCell>> {
+    let cells = paper_cells(presets, &LARGE_PAIRS, &KINDS);
+    let counts = |run: &super::KindRun| -> Vec<u64> {
+        run.events
             .iter()
-            .map(|pair| {
-                let trace = &trace;
-                let cfg = paper_config(*pair);
-                s.spawn(move || {
-                    let counts = |kind: HierarchyKind| -> Vec<u64> {
-                        run_kind(trace, &cfg, kind)
-                            .events
-                            .iter()
-                            .map(|e| e.l1_coherence_messages())
-                            .collect()
-                    };
-                    CoherenceCell {
-                        vr: counts(HierarchyKind::Vr),
-                        rr_incl: counts(HierarchyKind::RrInclusive),
-                        rr_no_incl: counts(HierarchyKind::RrNonInclusive),
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("no panic"))
+            .map(|e| e.l1_coherence_messages())
             .collect()
-    })
+    };
+    let runs = ctx.run_cells(&cells);
+    runs.chunks(KINDS.len() * LARGE_PAIRS.len())
+        .map(|row| {
+            row.chunks(KINDS.len())
+                .map(|pair| CoherenceCell {
+                    vr: counts(&pair[0]),
+                    rr_incl: counts(&pair[1]),
+                    rr_no_incl: counts(&pair[2]),
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Renders one trace's table (Table 11 pops, 12 thor, 13 abaqus): one row
@@ -94,17 +90,17 @@ pub fn render(preset: TracePreset, table_no: u32, cells: &[CoherenceCell]) -> Ta
 
 /// Regenerates Tables 11 (pops), 12 (thor) and 13 (abaqus).
 pub fn tables_11_12_13(ctx: &mut ExperimentCtx) -> Vec<TableReport> {
-    [
+    let tables = [
         (TracePreset::Pops, 11),
         (TracePreset::Thor, 12),
         (TracePreset::Abaqus, 13),
-    ]
-    .into_iter()
-    .map(|(preset, no)| {
-        let cells = coherence_cells(ctx, preset);
-        render(preset, no, &cells)
-    })
-    .collect()
+    ];
+    let grid = coherence_grid(ctx, &tables.map(|(preset, _)| preset));
+    tables
+        .iter()
+        .zip(&grid)
+        .map(|(&(preset, no), cells)| render(preset, no, cells))
+        .collect()
 }
 
 /// The Section 2 claim: with a 16K 2-way V-cache (16-byte blocks) over a
@@ -114,9 +110,12 @@ pub fn inclusion_invalidation_count(ctx: &mut ExperimentCtx) -> u64 {
     let l1 = CacheGeometry::new(16 * 1024, 16, 2).expect("valid");
     let l2 = CacheGeometry::new(256 * 1024, 16, 2).expect("valid");
     let cfg = HierarchyConfig::new(l1, l2, PageSize::SIZE_4K).expect("valid");
-    let trace = ctx.trace(TracePreset::Pops).clone();
-    let run = run_kind(&trace, &cfg, HierarchyKind::Vr);
-    run.events.iter().map(|e| e.inclusion_invalidations).sum()
+    let runs = ctx.run_cells(&[Cell::new(TracePreset::Pops, cfg, HierarchyKind::Vr)]);
+    runs[0]
+        .events
+        .iter()
+        .map(|e| e.inclusion_invalidations)
+        .sum()
 }
 
 /// Total messages per organization (summed over CPUs and size pairs) —
@@ -135,7 +134,7 @@ mod tests {
     #[test]
     fn shielding_shape_holds() {
         let mut ctx = ExperimentCtx::new(0.01);
-        let cells = coherence_cells(&mut ctx, TracePreset::Pops);
+        let cells = coherence_grid(&mut ctx, &[TracePreset::Pops]).remove(0);
         assert_eq!(cells.len(), 3);
         let (vr, rr_incl, rr_no) = totals(&cells);
         assert!(

@@ -9,12 +9,9 @@
 //!   V-cache flushes), growing with the V-cache size;
 //! * for sub-page first levels (Table 7) the ratios are nearly identical.
 
-use std::thread;
-
 use vrcache_trace::presets::TracePreset;
-use vrcache_trace::trace::Trace;
 
-use super::{paper_config, run_kind, ExperimentCtx};
+use super::{paper_cells, ExperimentCtx, LARGE_PAIRS};
 use crate::report::{ratio, TableReport};
 use crate::system::HierarchyKind;
 
@@ -40,43 +37,34 @@ pub struct HitRatioRow {
     pub cells: Vec<HitRatioCell>,
 }
 
-/// Runs the hit-ratio grid for the given size pairs over all three traces.
-/// Runs the V-R and R-R simulations of each cell in parallel.
-pub fn hit_ratio_grid(ctx: &mut ExperimentCtx, pairs: &[(u64, u64)]) -> Vec<HitRatioRow> {
-    // Materialize traces first (generation mutates the cache).
-    let traces: Vec<(TracePreset, Trace)> = TracePreset::ALL
-        .iter()
-        .map(|p| (*p, ctx.trace(*p).clone()))
-        .collect();
-    traces
-        .iter()
-        .map(|(preset, trace)| {
-            let cells = thread::scope(|s| {
-                let handles: Vec<_> = pairs
-                    .iter()
-                    .map(|pair| {
-                        let cfg = paper_config(*pair);
-                        s.spawn(move || {
-                            let vr = run_kind(trace, &cfg, HierarchyKind::Vr).summary;
-                            let rr = run_kind(trace, &cfg, HierarchyKind::RrInclusive).summary;
-                            HitRatioCell {
-                                h1_vr: vr.h1,
-                                h1_rr: rr.h1,
-                                h2_vr: vr.h2_local,
-                                h2_rr: rr.h2_local,
-                            }
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("no panic"))
-                    .collect()
-            });
-            HitRatioRow {
-                preset: *preset,
-                cells,
-            }
+/// The two organizations each cell compares, in cell order.
+const KINDS: [HierarchyKind; 2] = [HierarchyKind::Vr, HierarchyKind::RrInclusive];
+
+/// Runs the hit-ratio grid for the given size pairs over `presets`, one
+/// row per preset in the given order.
+pub fn hit_ratio_grid(
+    ctx: &mut ExperimentCtx,
+    presets: &[TracePreset],
+    pairs: &[(u64, u64)],
+) -> Vec<HitRatioRow> {
+    let cells = paper_cells(presets, pairs, &KINDS);
+    let runs = ctx.run_cells(&cells);
+    runs.chunks(pairs.len() * KINDS.len())
+        .zip(presets)
+        .map(|(row, &preset)| HitRatioRow {
+            preset,
+            cells: row
+                .chunks(KINDS.len())
+                .map(|pair| {
+                    let (vr, rr) = (&pair[0].summary, &pair[1].summary);
+                    HitRatioCell {
+                        h1_vr: vr.h1,
+                        h1_rr: rr.h1,
+                        h2_vr: vr.h2_local,
+                        h2_rr: rr.h2_local,
+                    }
+                })
+                .collect(),
         })
         .collect()
 }
@@ -111,23 +99,30 @@ pub fn render(title: &str, pairs: &[(u64, u64)], rows: &[HitRatioRow]) -> TableR
     t
 }
 
-/// Regenerates Table 6 (4K–16K first levels). The measured grid is
-/// memoized on the context: Figures 4–6 reuse it without re-simulating.
-pub fn table6(ctx: &mut ExperimentCtx) -> (TableReport, Vec<HitRatioRow>) {
-    if ctx.table6_rows.is_none() {
-        let rows = hit_ratio_grid(ctx, &super::LARGE_PAIRS);
-        ctx.table6_rows = Some(rows);
+/// Table 6's rows for `presets`, in that order. Rows are memoized on
+/// the context, and the missing ones are measured in one batch: Table 6
+/// and Figures 4–6 never simulate a row twice.
+pub fn table6_rows(ctx: &mut ExperimentCtx, presets: &[TracePreset]) -> Vec<HitRatioRow> {
+    let missing: Vec<TracePreset> = presets
+        .iter()
+        .copied()
+        .filter(|p| !ctx.table6_rows.contains_key(p))
+        .collect();
+    for row in hit_ratio_grid(ctx, &missing, &LARGE_PAIRS) {
+        ctx.table6_rows.insert(row.preset, row);
     }
-    let rows = ctx.table6_rows.clone().expect("just computed");
-    (
-        render("Table 6: hit ratios", &super::LARGE_PAIRS, &rows),
-        rows,
-    )
+    presets.iter().map(|p| ctx.table6_rows[p].clone()).collect()
+}
+
+/// Regenerates Table 6 (4K–16K first levels).
+pub fn table6(ctx: &mut ExperimentCtx) -> (TableReport, Vec<HitRatioRow>) {
+    let rows = table6_rows(ctx, &TracePreset::ALL);
+    (render("Table 6: hit ratios", &LARGE_PAIRS, &rows), rows)
 }
 
 /// Regenerates Table 7 (.5K–2K first levels).
 pub fn table7(ctx: &mut ExperimentCtx) -> (TableReport, Vec<HitRatioRow>) {
-    let rows = hit_ratio_grid(ctx, &super::SMALL_PAIRS);
+    let rows = hit_ratio_grid(ctx, &TracePreset::ALL, &super::SMALL_PAIRS);
     (
         render(
             "Table 7: hit ratios for small first-level caches",
@@ -146,7 +141,7 @@ mod tests {
     fn grid_shapes_and_monotonicity() {
         let mut ctx = ExperimentCtx::new(0.004);
         let pairs = [(4 * 1024, 64 * 1024), (16 * 1024, 256 * 1024)];
-        let rows = hit_ratio_grid(&mut ctx, &pairs);
+        let rows = hit_ratio_grid(&mut ctx, &TracePreset::ALL, &pairs);
         assert_eq!(rows.len(), 3);
         for row in &rows {
             assert_eq!(row.cells.len(), 2);
@@ -170,7 +165,7 @@ mod tests {
     fn abaqus_vr_pays_for_context_switches() {
         let mut ctx = ExperimentCtx::new(0.02);
         let pairs = [(16 * 1024, 256 * 1024)];
-        let rows = hit_ratio_grid(&mut ctx, &pairs);
+        let rows = hit_ratio_grid(&mut ctx, &[TracePreset::Abaqus, TracePreset::Thor], &pairs);
         let abaqus = rows
             .iter()
             .find(|r| r.preset == TracePreset::Abaqus)
@@ -191,6 +186,19 @@ mod tests {
             t.h1_vr,
             t.h1_rr
         );
+    }
+
+    #[test]
+    fn table6_rows_are_measured_once() {
+        let mut ctx = ExperimentCtx::new(0.002);
+        let pops = table6_rows(&mut ctx, &[TracePreset::Pops]);
+        assert_eq!(ctx.work().cells, 6, "one row: 3 pairs x 2 organizations");
+        let (_, rows) = table6(&mut ctx);
+        assert_eq!(ctx.work().cells, 18, "the pops row is not re-simulated");
+        assert_eq!(rows[1].preset, TracePreset::Pops);
+        assert_eq!(rows[1].cells, pops[0].cells);
+        table6(&mut ctx);
+        assert_eq!(ctx.work().cells, 18);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use vrcache::config::HierarchyConfig;
 use vrcache_bus::txn::BusOp;
 use vrcache_trace::presets::TracePreset;
 
-use super::{run_kind, ExperimentCtx};
+use super::{Cell, ExperimentCtx, KindRun};
 use crate::report::{ratio, TableReport};
 use crate::system::HierarchyKind;
 
@@ -32,34 +32,37 @@ pub struct ProtocolRow {
     pub l1_msgs_per_kref: f64,
 }
 
-/// Runs both protocols on `preset` at the 8K/128K point.
-pub fn protocol_rows(ctx: &mut ExperimentCtx, preset: TracePreset) -> Vec<ProtocolRow> {
-    let trace = ctx.trace(preset).clone();
-    [false, true]
-        .into_iter()
-        .map(|update| {
+/// Runs both protocols on each of `presets` at the 8K/128K point: one
+/// `[invalidation, update]` pair of rows per preset.
+pub fn protocol_rows(ctx: &mut ExperimentCtx, presets: &[TracePreset]) -> Vec<[ProtocolRow; 2]> {
+    let cells: Vec<Cell> = presets
+        .iter()
+        .flat_map(|&preset| {
             let base = HierarchyConfig::direct_mapped(8 * 1024, 128 * 1024, 16).expect("valid");
-            let cfg = if update {
-                base.with_update_protocol()
-            } else {
-                base
-            };
-            let run = run_kind(&trace, &cfg, HierarchyKind::Vr);
-            let refs = run.summary.refs as f64 / 1000.0;
-            let msgs: u64 = run.events.iter().map(|e| e.l1_coherence_messages()).sum();
-            let txns = BusOp::ALL
-                .iter()
-                .map(|op| run.summary.bus.count(*op))
-                .sum::<u64>() as f64;
-            ProtocolRow {
-                update,
-                h1: run.summary.h1,
-                h2: run.summary.h2_local,
-                bus_txns_per_kref: txns / refs,
-                l1_msgs_per_kref: msgs as f64 / refs,
-            }
+            [base.clone(), base.with_update_protocol()]
+                .map(|cfg| Cell::new(preset, cfg, HierarchyKind::Vr))
         })
+        .collect();
+    let runs = ctx.run_cells(&cells);
+    runs.chunks(2)
+        .map(|pair| [row(false, &pair[0]), row(true, &pair[1])])
         .collect()
+}
+
+fn row(update: bool, run: &KindRun) -> ProtocolRow {
+    let refs = run.summary.refs as f64 / 1000.0;
+    let msgs: u64 = run.events.iter().map(|e| e.l1_coherence_messages()).sum();
+    let txns = BusOp::ALL
+        .iter()
+        .map(|op| run.summary.bus.count(*op))
+        .sum::<u64>() as f64;
+    ProtocolRow {
+        update,
+        h1: run.summary.h1,
+        h2: run.summary.h2_local,
+        bus_txns_per_kref: txns / refs,
+        l1_msgs_per_kref: msgs as f64 / refs,
+    }
 }
 
 /// Renders the comparison for all three traces.
@@ -75,8 +78,9 @@ pub fn protocols_table(ctx: &mut ExperimentCtx) -> TableReport {
             "L1 msgs / 1k refs",
         ],
     );
-    for preset in TracePreset::ALL {
-        for row in protocol_rows(ctx, preset) {
+    let grid = protocol_rows(ctx, &TracePreset::ALL);
+    for (preset, rows) in TracePreset::ALL.iter().zip(grid) {
+        for row in rows {
             t.row(vec![
                 preset.name().into(),
                 if row.update { "update" } else { "invalidation" }.into(),
@@ -97,10 +101,9 @@ mod tests {
     #[test]
     fn update_never_loses_hits() {
         let mut ctx = ExperimentCtx::new(0.01);
-        for preset in [TracePreset::Pops, TracePreset::Abaqus] {
-            let rows = protocol_rows(&mut ctx, preset);
-            assert_eq!(rows.len(), 2);
-            let (inval, update) = (rows[0], rows[1]);
+        let presets = [TracePreset::Pops, TracePreset::Abaqus];
+        for (preset, [inval, update]) in presets.into_iter().zip(protocol_rows(&mut ctx, &presets))
+        {
             assert!(!inval.update && update.update);
             assert!(
                 update.h1 >= inval.h1 - 1e-9,

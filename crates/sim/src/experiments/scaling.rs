@@ -12,7 +12,7 @@
 
 use vrcache_trace::synth::{generate, WorkloadConfig};
 
-use super::{paper_config, run_kind};
+use super::{paper_config, ExperimentCtx};
 use crate::report::TableReport;
 use crate::system::HierarchyKind;
 
@@ -41,7 +41,16 @@ impl ScalingPoint {
 
 /// Runs the scaling study: `refs_per_cpu` references per processor at each
 /// CPU count, identical per-CPU workload parameters, 8K/128K hierarchies.
-pub fn scaling_study(refs_per_cpu: u64, cpu_counts: &[u16]) -> Vec<ScalingPoint> {
+///
+/// The simulations run one at a time on the caller's thread, counted on
+/// `ctx`: the 16-CPU point's trace and system are the largest live
+/// allocation of a whole reproduction, and running its two
+/// organizations at once would raise the process's memory peak.
+pub fn scaling_study(
+    ctx: &mut ExperimentCtx,
+    refs_per_cpu: u64,
+    cpu_counts: &[u16],
+) -> Vec<ScalingPoint> {
     cpu_counts
         .iter()
         .map(|cpus| {
@@ -56,8 +65,8 @@ pub fn scaling_study(refs_per_cpu: u64, cpu_counts: &[u16]) -> Vec<ScalingPoint>
                 ..WorkloadConfig::default()
             });
             let cfg = paper_config((8 * 1024, 128 * 1024));
-            let per_cpu = |kind: HierarchyKind| -> f64 {
-                let run = run_kind(&trace, &cfg, kind);
+            let mut per_cpu = |kind: HierarchyKind| -> f64 {
+                let run = ctx.run_one(&trace, &cfg, kind);
                 let total: u64 = run.events.iter().map(|e| e.l1_coherence_messages()).sum();
                 total as f64 / f64::from(*cpus)
             };
@@ -98,8 +107,10 @@ mod tests {
 
     #[test]
     fn shielding_grows_with_cpus() {
-        let points = scaling_study(15_000, &[2, 4, 8]);
+        let mut ctx = ExperimentCtx::new(1.0);
+        let points = scaling_study(&mut ctx, 15_000, &[2, 4, 8]);
         assert_eq!(points.len(), 3);
+        assert_eq!(ctx.work().cells, 6, "two organizations per point");
         for p in &points {
             assert!(
                 p.shielding_factor() > 1.0,

@@ -13,7 +13,7 @@ use vrcache::timing::AccessTimeModel;
 use vrcache_bus::txn::BusOp;
 use vrcache_trace::presets::TracePreset;
 
-use super::{paper_config, run_kind, ExperimentCtx, LARGE_PAIRS};
+use super::{paper_cells, ExperimentCtx, LARGE_PAIRS};
 use crate::report::{ratio, TableReport};
 use crate::system::HierarchyKind;
 
@@ -36,30 +36,39 @@ pub struct SingleLevelCell {
     pub t_goodman: f64,
 }
 
-/// Measures the comparison for one trace across the standard size pairs.
-pub fn single_level_cells(ctx: &mut ExperimentCtx, preset: TracePreset) -> Vec<SingleLevelCell> {
-    let trace = ctx.trace(preset).clone();
+/// The organizations each cell compares, in cell order.
+const KINDS: [HierarchyKind; 2] = [HierarchyKind::Vr, HierarchyKind::GoodmanSingleLevel];
+
+/// Measures the comparison for each of `presets` across the standard
+/// size pairs: one `Vec` per preset, in size-pair order.
+pub fn single_level_grid(
+    ctx: &mut ExperimentCtx,
+    presets: &[TracePreset],
+) -> Vec<Vec<SingleLevelCell>> {
+    let cells = paper_cells(presets, &LARGE_PAIRS, &KINDS);
     let model = AccessTimeModel::PAPER;
-    LARGE_PAIRS
-        .iter()
-        .map(|pair| {
-            let cfg = paper_config(*pair);
-            let vr = run_kind(&trace, &cfg, HierarchyKind::Vr).summary;
-            let gm = run_kind(&trace, &cfg, HierarchyKind::GoodmanSingleLevel).summary;
-            let fetches = |s: &crate::system::RunSummary| {
-                (s.bus.count(BusOp::ReadMiss) + s.bus.count(BusOp::ReadModifiedWrite)) as f64
-                    / (s.refs as f64 / 1000.0)
-            };
-            SingleLevelCell {
-                h1_vr: vr.h1,
-                h2_vr: vr.h2_local,
-                h1_goodman: gm.h1,
-                vr_fetches_per_kref: fetches(&vr),
-                goodman_fetches_per_kref: fetches(&gm),
-                t_vr: model.avg_access_time(vr.h1, vr.h2_local),
-                // Single level: a miss pays the memory time directly.
-                t_goodman: model.avg_access_time(gm.h1, 0.0),
-            }
+    let fetches = |s: &crate::system::RunSummary| {
+        (s.bus.count(BusOp::ReadMiss) + s.bus.count(BusOp::ReadModifiedWrite)) as f64
+            / (s.refs as f64 / 1000.0)
+    };
+    let runs = ctx.run_cells(&cells);
+    runs.chunks(KINDS.len() * LARGE_PAIRS.len())
+        .map(|row| {
+            row.chunks(KINDS.len())
+                .map(|pair| {
+                    let (vr, gm) = (&pair[0].summary, &pair[1].summary);
+                    SingleLevelCell {
+                        h1_vr: vr.h1,
+                        h2_vr: vr.h2_local,
+                        h1_goodman: gm.h1,
+                        vr_fetches_per_kref: fetches(vr),
+                        goodman_fetches_per_kref: fetches(gm),
+                        t_vr: model.avg_access_time(vr.h1, vr.h2_local),
+                        // Single level: a miss pays the memory time directly.
+                        t_goodman: model.avg_access_time(gm.h1, 0.0),
+                    }
+                })
+                .collect()
         })
         .collect()
 }
@@ -79,9 +88,9 @@ pub fn single_level_table(ctx: &mut ExperimentCtx) -> TableReport {
             "T 1-level",
         ],
     );
-    for preset in TracePreset::ALL {
-        let cells = single_level_cells(ctx, preset);
-        for (pair, c) in LARGE_PAIRS.iter().zip(cells.iter()) {
+    let grid = single_level_grid(ctx, &TracePreset::ALL);
+    for (preset, cells) in TracePreset::ALL.iter().zip(&grid) {
+        for (pair, c) in LARGE_PAIRS.iter().zip(cells) {
             t.row(vec![
                 preset.name().into(),
                 super::pair_label(*pair),
@@ -104,7 +113,7 @@ mod tests {
     #[test]
     fn two_levels_beat_one_at_equal_l1() {
         let mut ctx = ExperimentCtx::new(0.01);
-        let cells = single_level_cells(&mut ctx, TracePreset::Pops);
+        let cells = single_level_grid(&mut ctx, &[TracePreset::Pops]).remove(0);
         assert_eq!(cells.len(), 3);
         for c in &cells {
             // Equal-size virtual L1s see near-identical hit ratios...

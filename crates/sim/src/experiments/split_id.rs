@@ -4,12 +4,10 @@
 //! unified first level and once split into equal-size I and D halves; the
 //! hit ratios are reported per access class, as in the paper's tables.
 
-use std::thread;
-
 use vrcache_cache::stats::{AccessKind, CacheStats};
 use vrcache_trace::presets::TracePreset;
 
-use super::{paper_config, run_kind, ExperimentCtx, LARGE_PAIRS};
+use super::{paper_config, Cell, ExperimentCtx, LARGE_PAIRS};
 use crate::report::{ratio, TableReport};
 use crate::system::HierarchyKind;
 
@@ -43,22 +41,26 @@ fn class_ratios(stats: &CacheStats) -> (f64, f64, f64, f64) {
     )
 }
 
-/// Measures the split-vs-unified cells for one trace over the standard size
-/// pairs, running the configurations in parallel.
-pub fn split_cells(ctx: &mut ExperimentCtx, preset: TracePreset) -> Vec<SplitCell> {
-    let trace = ctx.trace(preset).clone();
-    thread::scope(|s| {
-        let handles: Vec<_> = LARGE_PAIRS
-            .iter()
-            .map(|pair| {
-                let trace = &trace;
-                let unified_cfg = paper_config(*pair);
-                let split_cfg = paper_config(*pair).with_split_l1();
-                s.spawn(move || {
-                    let unified = run_kind(trace, &unified_cfg, HierarchyKind::Vr);
-                    let split = run_kind(trace, &split_cfg, HierarchyKind::Vr);
-                    let (ru, wu, iu, ou) = class_ratios(&unified.summary.l1);
-                    let (rs, ws, is, os) = class_ratios(&split.summary.l1);
+/// Measures the split-vs-unified cells of each of `presets` over the
+/// standard size pairs: one `Vec` per preset, in size-pair order.
+pub fn split_grid(ctx: &mut ExperimentCtx, presets: &[TracePreset]) -> Vec<Vec<SplitCell>> {
+    let cells: Vec<Cell> = presets
+        .iter()
+        .flat_map(|&preset| {
+            LARGE_PAIRS.iter().flat_map(move |&pair| {
+                let unified = paper_config(pair);
+                let split = unified.clone().with_split_l1();
+                [unified, split].map(|cfg| Cell::new(preset, cfg, HierarchyKind::Vr))
+            })
+        })
+        .collect();
+    let runs = ctx.run_cells(&cells);
+    runs.chunks(2 * LARGE_PAIRS.len())
+        .map(|row| {
+            row.chunks(2)
+                .map(|pair| {
+                    let (ru, wu, iu, ou) = class_ratios(&pair[0].summary.l1);
+                    let (rs, ws, is, os) = class_ratios(&pair[1].summary.l1);
                     SplitCell {
                         read_split: rs,
                         read_unified: ru,
@@ -70,13 +72,9 @@ pub fn split_cells(ctx: &mut ExperimentCtx, preset: TracePreset) -> Vec<SplitCel
                         overall_unified: ou,
                     }
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("no panic"))
-            .collect()
-    })
+                .collect()
+        })
+        .collect()
 }
 
 /// Renders one trace's table (Table 8 for thor, 9 for pops, 10 for abaqus).
@@ -113,17 +111,17 @@ pub fn render(preset: TracePreset, table_no: u32, cells: &[SplitCell]) -> TableR
 
 /// Regenerates Tables 8, 9 and 10.
 pub fn tables_8_9_10(ctx: &mut ExperimentCtx) -> Vec<TableReport> {
-    [
+    let tables = [
         (TracePreset::Thor, 8),
         (TracePreset::Pops, 9),
         (TracePreset::Abaqus, 10),
-    ]
-    .into_iter()
-    .map(|(preset, no)| {
-        let cells = split_cells(ctx, preset);
-        render(preset, no, &cells)
-    })
-    .collect()
+    ];
+    let grid = split_grid(ctx, &tables.map(|(preset, _)| preset));
+    tables
+        .iter()
+        .zip(&grid)
+        .map(|(&(preset, no), cells)| render(preset, no, cells))
+        .collect()
 }
 
 #[cfg(test)]
@@ -133,7 +131,7 @@ mod tests {
     #[test]
     fn split_is_close_to_unified() {
         let mut ctx = ExperimentCtx::new(0.01);
-        let cells = split_cells(&mut ctx, TracePreset::Pops);
+        let cells = split_grid(&mut ctx, &[TracePreset::Pops]).remove(0);
         assert_eq!(cells.len(), 3);
         for (i, c) in cells.iter().enumerate() {
             // The paper's point: split and unified are very close. Allow a

@@ -12,7 +12,7 @@ use vrcache_mem::access::CpuId;
 use vrcache_trace::analysis::{call_write_histogram, inter_write_intervals, IntervalHistogram};
 use vrcache_trace::presets::TracePreset;
 
-use super::{paper_config, run_kind, ExperimentCtx};
+use super::{paper_config, Cell, ExperimentCtx};
 use crate::report::TableReport;
 use crate::system::HierarchyKind;
 
@@ -65,13 +65,12 @@ pub fn table2(ctx: &mut ExperimentCtx) -> TableReport {
 /// swapped-valid bit. The events come from a real V-R simulation of the
 /// *pops* trace at the paper's 16K/256K configuration.
 pub fn table3(ctx: &mut ExperimentCtx) -> TableReport {
-    let trace = ctx.trace(TracePreset::Pops).clone();
-    let run = run_kind(
-        &trace,
-        &paper_config((16 * 1024, 256 * 1024)),
+    let runs = ctx.run_cells(&[Cell::new(
+        TracePreset::Pops,
+        paper_config((16 * 1024, 256 * 1024)),
         HierarchyKind::Vr,
-    );
-    let hist = &run.events[0].swapped_writeback_intervals;
+    )]);
+    let hist = &runs[0].events[0].swapped_writeback_intervals;
     render_intervals(
         "Table 3: write intervals with write-back and swapped write-back",
         hist,

@@ -10,7 +10,7 @@
 use vrcache_bus::txn::BusOp;
 use vrcache_trace::presets::TracePreset;
 
-use super::{paper_config, run_kind, ExperimentCtx, BLOCK_BYTES, LARGE_PAIRS};
+use super::{paper_cells, ExperimentCtx, BLOCK_BYTES, LARGE_PAIRS};
 use crate::report::TableReport;
 use crate::system::HierarchyKind;
 
@@ -57,22 +57,25 @@ impl TrafficCell {
     }
 }
 
-/// Measures traffic for one trace over the standard size pairs (V-R
-/// organization).
-pub fn traffic_cells(ctx: &mut ExperimentCtx, preset: TracePreset) -> Vec<TrafficCell> {
-    let trace = ctx.trace(preset).clone();
-    LARGE_PAIRS
-        .iter()
-        .map(|pair| {
-            let run = run_kind(&trace, &paper_config(*pair), HierarchyKind::Vr);
-            let bus = run.summary.bus;
-            TrafficCell {
-                fetches: bus.count(BusOp::ReadMiss) + bus.count(BusOp::ReadModifiedWrite),
-                invalidations: bus.count(BusOp::Invalidate),
-                writebacks: bus.count(BusOp::WriteBack),
-                refs: run.summary.refs,
-                l1_misses: run.summary.l1.misses(),
-            }
+/// Measures traffic for each of `presets` over the standard size pairs
+/// (V-R organization): one `Vec` per preset, in size-pair order.
+pub fn traffic_grid(ctx: &mut ExperimentCtx, presets: &[TracePreset]) -> Vec<Vec<TrafficCell>> {
+    let cells = paper_cells(presets, &LARGE_PAIRS, &[HierarchyKind::Vr]);
+    let runs = ctx.run_cells(&cells);
+    runs.chunks(LARGE_PAIRS.len())
+        .map(|row| {
+            row.iter()
+                .map(|run| {
+                    let bus = run.summary.bus;
+                    TrafficCell {
+                        fetches: bus.count(BusOp::ReadMiss) + bus.count(BusOp::ReadModifiedWrite),
+                        invalidations: bus.count(BusOp::Invalidate),
+                        writebacks: bus.count(BusOp::WriteBack),
+                        refs: run.summary.refs,
+                        l1_misses: run.summary.l1.misses(),
+                    }
+                })
+                .collect()
         })
         .collect()
 }
@@ -90,9 +93,9 @@ pub fn traffic_table(ctx: &mut ExperimentCtx) -> TableReport {
             "traffic reduction",
         ],
     );
-    for preset in TracePreset::ALL {
-        let cells = traffic_cells(ctx, preset);
-        for (pair, cell) in LARGE_PAIRS.iter().zip(cells.iter()) {
+    let grid = traffic_grid(ctx, &TracePreset::ALL);
+    for (preset, cells) in TracePreset::ALL.iter().zip(&grid) {
+        for (pair, cell) in LARGE_PAIRS.iter().zip(cells) {
             t.row(vec![
                 preset.name().into(),
                 super::pair_label(*pair),
@@ -113,7 +116,7 @@ mod tests {
     #[test]
     fn l2_reduces_traffic_and_bigger_l2_reduces_more() {
         let mut ctx = ExperimentCtx::new(0.02);
-        let cells = traffic_cells(&mut ctx, TracePreset::Pops);
+        let cells = traffic_grid(&mut ctx, &[TracePreset::Pops]).remove(0);
         assert_eq!(cells.len(), 3);
         for c in &cells {
             // At reduced scale the largest L2 is partially cold; it must

@@ -112,8 +112,9 @@ fn tables_8_to_10_pipeline() {
 #[test]
 fn tables_11_to_13_pipeline_and_shape() {
     let mut ctx = ExperimentCtx::new(SCALE);
-    for preset in [TracePreset::Pops, TracePreset::Abaqus] {
-        let cells = coherence::coherence_cells(&mut ctx, preset);
+    let presets = [TracePreset::Pops, TracePreset::Abaqus];
+    let grid = coherence::coherence_grid(&mut ctx, &presets);
+    for (preset, cells) in presets.into_iter().zip(grid) {
         let (vr, rr_incl, rr_no) = coherence::totals(&cells);
         assert!(
             vr < rr_no && rr_incl < rr_no,
@@ -159,8 +160,8 @@ fn codec_round_trip_preserves_simulation_results() {
     use vrcache_trace::codec::{decode, encode};
 
     let mut ctx = ExperimentCtx::new(0.005);
-    let original = ctx.trace(TracePreset::Thor).clone();
-    let reloaded = decode(&encode(&original)).unwrap();
+    let original = ctx.trace(TracePreset::Thor);
+    let reloaded = decode(&encode(original)).unwrap();
     let cfg = paper_config((4 * 1024, 64 * 1024));
     let a = System::new(HierarchyKind::Vr, original.cpus(), &cfg)
         .run_trace(&original)
