@@ -10,7 +10,9 @@
 //!           [--asid-tags] [--update-protocol] [--drain N]
 //!     Replay a trace on a system and print hit ratios, bus traffic and
 //!     per-CPU events. A configuration the chosen organization does not
-//!     model is rejected with an error before any trace is loaded.
+//!     model is rejected with an error before any trace is loaded. A
+//!     trace file is replayed as it is decoded, without holding its
+//!     decoded events.
 //!
 //! vrsim inspect [--trace-file f.vrt | --preset pops --scale 0.05]
 //!     Print trace characteristics and locality curves.
@@ -29,11 +31,11 @@ use vrcache_cache::geometry::CacheGeometry;
 use vrcache_mem::access::CpuId;
 use vrcache_mem::page::PageSize;
 use vrcache_sim::experiments::parse_scale;
-use vrcache_sim::system::{HierarchyKind, System};
+use vrcache_sim::system::{HierarchyKind, SimError, System};
 use vrcache_trace::analysis::{reuse_histogram, working_set_curve};
-use vrcache_trace::codec;
+use vrcache_trace::codec::{self, Decoder};
 use vrcache_trace::presets::TracePreset;
-use vrcache_trace::trace::Trace;
+use vrcache_trace::trace::{Trace, TraceSummary};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -82,11 +84,20 @@ fn preset_of(name: &str) -> Option<TracePreset> {
     }
 }
 
+fn read_file(path: &str) -> Result<Vec<u8>, String> {
+    std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))
+}
+
 fn load_trace(flags: &HashMap<String, String>) -> Result<Trace, String> {
     if let Some(path) = flags.get("trace-file") {
-        let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
+        let bytes = read_file(path)?;
         return codec::decode(&bytes).map_err(|e| format!("decoding {path}: {e}"));
     }
+    preset_trace(flags)
+}
+
+/// Synthesizes the trace `--preset` and `--scale` name.
+fn preset_trace(flags: &HashMap<String, String>) -> Result<Trace, String> {
     let preset = flags.get("preset").map(String::as_str).unwrap_or("pops");
     let preset = preset_of(preset).ok_or_else(|| format!("unknown preset: {preset}"))?;
     let scale = flags
@@ -159,19 +170,42 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
         k => return Err(format!("unknown kind: {k}")),
     };
     kind.supports(&cfg).map_err(|e| e.to_string())?;
-    let trace = load_trace(flags)?;
-    let mut sys = System::new(kind, trace.cpus(), &cfg);
-    let run = sys
-        .run_trace(&trace)
-        .map_err(|e| format!("simulation failed: {e}"))?;
+    let simulation_failed = |e: SimError| format!("simulation failed: {e}");
+    let (sys, summary) = match flags.get("trace-file") {
+        // A stored trace replays straight from its decoder: only the
+        // encoded bytes are held, never the decoded events.
+        Some(path) => {
+            let bytes = read_file(path)?;
+            let decoder = Decoder::new(&bytes).map_err(|e| format!("decoding {path}: {e}"))?;
+            let mut summary = TraceSummary::new(decoder.name(), decoder.cpus());
+            let mut sys = System::new(kind, decoder.cpus(), &cfg);
+            let mut failure = None;
+            let events = decoder
+                .map_while(|r| r.map_err(|e| failure = Some(e)).ok())
+                .inspect(|e| summary.record(e));
+            let replayed = sys.run_events(events);
+            if let Some(e) = failure {
+                return Err(format!("decoding {path}: {e}"));
+            }
+            replayed.map_err(simulation_failed)?;
+            (sys, summary)
+        }
+        None => {
+            let trace = preset_trace(flags)?;
+            let mut sys = System::new(kind, trace.cpus(), &cfg);
+            sys.run_trace(&trace).map_err(simulation_failed)?;
+            (sys, trace.summary())
+        }
+    };
+    let run = sys.summary();
     sys.check_invariants()
         .map_err(|e| format!("invariants failed: {e}"))?;
 
-    println!("trace: {}", trace.summary());
+    println!("trace: {summary}");
     println!("organization: {kind}, L1 {} / L2 {}", cfg.l1, cfg.l2);
     println!("h1 = {:.4}   h2(local) = {:.4}", run.h1, run.h2_local);
     println!("{}", run.bus);
-    for c in 0..trace.cpus() {
+    for c in 0..summary.cpus {
         println!("cpu{c}: {}", sys.events(CpuId::new(c)));
     }
     Ok(())

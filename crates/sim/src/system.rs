@@ -1,5 +1,6 @@
 //! The shared-bus multiprocessor system.
 
+use core::borrow::Borrow;
 use core::fmt;
 
 use vrcache::config::{HierarchyConfig, Unsupported};
@@ -275,18 +276,19 @@ impl System {
         Ok(self.summary())
     }
 
-    /// Replays a stream of events (may be called repeatedly; statistics
-    /// accumulate).
+    /// Replays a stream of events, borrowed or owned (may be called
+    /// repeatedly; statistics accumulate).
     ///
     /// # Errors
     ///
     /// Same conditions as [`run_trace`](Self::run_trace).
-    pub fn run_events<'a, I>(&mut self, events: I) -> Result<(), SimError>
+    pub fn run_events<I>(&mut self, events: I) -> Result<(), SimError>
     where
-        I: IntoIterator<Item = &'a TraceEvent>,
+        I: IntoIterator,
+        I::Item: Borrow<TraceEvent>,
     {
         for event in events {
-            match event {
+            match event.borrow() {
                 TraceEvent::Access(a) => {
                     let idx = a.cpu.index();
                     if idx >= self.hierarchies.len() {

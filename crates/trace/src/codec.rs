@@ -2,14 +2,33 @@
 //!
 //! Generated traces can be serialized once and replayed many times (or
 //! shipped between machines) without regenerating. The format is a small
-//! little-endian framing:
+//! little-endian framing. [`encode`] writes version 2; [`decode`] and
+//! [`Decoder`] read versions 1 and 2.
 //!
 //! ```text
 //! magic "VRTR" | version u16 | cpus u16 | page_bytes u64
 //! name_len u16 | name bytes | event_count u64 | events...
-//! event := 0x00 cpu:u16 asid:u16 kind:u8 vaddr:u64 paddr:u64
-//!        | 0x01 cpu:u16 from:u16 to:u16
+//!
+//! version 2: every event starts with one u64 word
+//!   access  := word  kind:2 (0..=2) | cpu:6 | vaddr:32 | frame:24
+//!              paddr = frame << page_bits | (vaddr & page_mask)
+//!              asid  = the CPU's current ASID
+//!   escape  := word  3:2 | 0:6 | kind:8 | cpu:16 | asid:16 | 0:16
+//!              vaddr:u64 paddr:u64          (sets the CPU's ASID)
+//!   switch  := word  3:2 | 1:6 | 0:8 | cpu:16 | from:16 | to:16
+//!                                           (sets the CPU's ASID to `to`)
+//!
+//! version 1:
+//!   event := 0x00 cpu:u16 asid:u16 kind:u8 vaddr:u64 paddr:u64
+//!          | 0x01 cpu:u16 from:u16 to:u16
 //! ```
+//!
+//! Fields of a version-2 word are listed from bit 0 up. Each of the
+//! first 64 CPUs has a current ASID, 0 at the start of the trace. An
+//! access is written as one word when its CPU is below 64, its ASID is
+//! the CPU's current one, its virtual address is below 2^32, its frame
+//! number is below 2^24, and its physical page offset equals its
+//! virtual one. Every other access is an escape.
 
 use core::fmt;
 
@@ -22,9 +41,22 @@ use crate::record::{MemAccess, TraceEvent};
 use crate::trace::Trace;
 
 const MAGIC: &[u8; 4] = b"VRTR";
-const VERSION: u16 = 1;
+/// The version [`encode`] writes.
+const VERSION: u16 = 2;
+/// The previous version, still read.
+const VERSION_1: u16 = 1;
 const TAG_ACCESS: u8 = 0x00;
 const TAG_SWITCH: u8 = 0x01;
+
+/// The two low bits of a version-2 word: an access kind, or this escape.
+const ESCAPE: u64 = 3;
+/// Escape subtypes, in bits 2..8 of an escape word.
+const ESC_ACCESS: u64 = 0;
+const ESC_SWITCH: u64 = 1;
+/// CPUs with a current-ASID slot; higher CPUs always escape.
+const FAST_CPUS: usize = 64;
+const FAST_VADDR_BITS: u32 = 32;
+const FAST_FRAME_BITS: u32 = 24;
 
 /// Errors from [`decode`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,7 +68,7 @@ pub enum CodecError {
     UnsupportedVersion(u16),
     /// The buffer ended before the declared content did.
     Truncated,
-    /// An event tag, access kind, or page size was invalid.
+    /// An event tag, access kind, reserved bit or page size was invalid.
     Corrupt(&'static str),
 }
 
@@ -70,7 +102,7 @@ fn kind_from_u8(v: u8) -> Option<AccessKind> {
     }
 }
 
-/// Serializes a trace to its binary form.
+/// Serializes a trace to its binary form (version 2).
 ///
 /// # Example
 ///
@@ -87,37 +119,70 @@ fn kind_from_u8(v: u8) -> Option<AccessKind> {
 /// # }
 /// ```
 pub fn encode(trace: &Trace) -> Bytes {
-    let mut buf = BytesMut::with_capacity(32 + trace.len() * 26);
+    let name = trace.name().as_bytes();
+    let mut buf = BytesMut::with_capacity(4 + HEADER_BYTES + name.len() + 8 + trace.len() * 8);
     buf.put_slice(MAGIC);
     buf.put_u16_le(VERSION);
     buf.put_u16_le(trace.cpus());
     buf.put_u64_le(trace.page_size().bytes());
-    let name = trace.name().as_bytes();
     buf.put_u16_le(name.len() as u16);
     buf.put_slice(name);
     buf.put_u64_le(trace.len() as u64);
+    let page_bits = trace.page_size().bits();
+    let mut asids = [0u16; FAST_CPUS];
     for e in trace.iter() {
-        match e {
+        match *e {
             TraceEvent::Access(a) => {
-                buf.put_u8(TAG_ACCESS);
-                buf.put_u16_le(a.cpu.raw());
-                buf.put_u16_le(a.asid.raw());
-                buf.put_u8(kind_to_u8(a.kind));
-                buf.put_u64_le(a.vaddr.raw());
-                buf.put_u64_le(a.paddr.raw());
+                let cpu = usize::from(a.cpu.raw());
+                let (va, pa) = (a.vaddr.raw(), a.paddr.raw());
+                let kind = u64::from(kind_to_u8(a.kind));
+                let frame = pa >> page_bits;
+                let fast = cpu < FAST_CPUS
+                    && asids[cpu] == a.asid.raw()
+                    && va >> FAST_VADDR_BITS == 0
+                    && frame >> FAST_FRAME_BITS == 0
+                    && (pa ^ va) & page_mask(page_bits) == 0;
+                if fast {
+                    buf.put_u64_le(kind | (cpu as u64) << 2 | va << 8 | frame << 40);
+                } else {
+                    buf.put_u64_le(
+                        ESCAPE
+                            | ESC_ACCESS << 2
+                            | kind << 8
+                            | u64::from(a.cpu.raw()) << 16
+                            | u64::from(a.asid.raw()) << 32,
+                    );
+                    buf.put_u64_le(va);
+                    buf.put_u64_le(pa);
+                    if let Some(slot) = asids.get_mut(cpu) {
+                        *slot = a.asid.raw();
+                    }
+                }
             }
             TraceEvent::ContextSwitch { cpu, from, to } => {
-                buf.put_u8(TAG_SWITCH);
-                buf.put_u16_le(cpu.raw());
-                buf.put_u16_le(from.raw());
-                buf.put_u16_le(to.raw());
+                buf.put_u64_le(
+                    ESCAPE
+                        | ESC_SWITCH << 2
+                        | u64::from(cpu.raw()) << 16
+                        | u64::from(from.raw()) << 32
+                        | u64::from(to.raw()) << 48,
+                );
+                if let Some(slot) = asids.get_mut(cpu.index()) {
+                    *slot = to.raw();
+                }
             }
         }
     }
     buf.freeze()
 }
 
-/// Parses a binary trace produced by [`encode`].
+/// The page-offset mask of a page of `2^page_bits` bytes.
+#[inline]
+fn page_mask(page_bits: u32) -> u64 {
+    (1u64 << page_bits) - 1
+}
+
+/// Parses a binary trace produced by [`encode`], or a version-1 trace.
 ///
 /// # Errors
 ///
@@ -125,17 +190,58 @@ pub fn encode(trace: &Trace) -> Bytes {
 /// truncated buffer, or invalid field values — the same error the
 /// streaming [`Decoder`] reports for the same bytes.
 pub fn decode(buf: &[u8]) -> Result<Trace, CodecError> {
-    let mut decoder = Decoder::new(buf)?;
     // `Decoder::new` has checked the count against the buffer length, so
-    // a corrupt count cannot request a huge allocation here.
-    let mut events = Vec::with_capacity(decoder.remaining() as usize);
-    for event in &mut decoder {
-        events.push(event?);
-    }
+    // a corrupt count cannot request more than a few times the buffer.
     let Decoder {
-        name, cpus, page, ..
-    } = decoder;
+        mut buf,
+        name,
+        cpus,
+        page,
+        format,
+        remaining,
+        ..
+    } = Decoder::new(buf)?;
+    let events = match format {
+        Format::V1 => decode_all(remaining, move || next_v1(&mut buf))?,
+        Format::V2 {
+            page_bits,
+            mut asids,
+        } => decode_all(remaining, move || next_v2(&mut buf, page_bits, &mut asids))?,
+    };
     Ok(Trace::new(name, cpus, page, events))
+}
+
+/// Collects `count` events from `step`, or its first error.
+///
+/// The events are written straight into a vector sized once: the
+/// infallible, exact-length `collect` below needs no capacity check per
+/// event. (A loop of `push(step()?)` builds each event on the stack and
+/// copies it, which costs more than decoding it.) An error stands in a
+/// placeholder event and is kept aside; the events after it are decoded
+/// from whatever follows and dropped with the vector.
+#[inline]
+fn decode_all(
+    count: u64,
+    mut step: impl FnMut() -> Result<TraceEvent, CodecError>,
+) -> Result<Vec<TraceEvent>, CodecError> {
+    const PLACEHOLDER: TraceEvent = TraceEvent::ContextSwitch {
+        cpu: CpuId::new(0),
+        from: Asid::new(0),
+        to: Asid::new(0),
+    };
+    let mut failure = None;
+    let events = (0..count)
+        .map(|_| {
+            step().unwrap_or_else(|e| {
+                failure.get_or_insert(e);
+                PLACEHOLDER
+            })
+        })
+        .collect();
+    match failure {
+        None => Ok(events),
+        Some(e) => Err(e),
+    }
 }
 
 /// Splits the next `N` bytes off the front of `buf`.
@@ -144,6 +250,14 @@ fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], CodecError> {
     let (head, rest) = buf.split_first_chunk::<N>().ok_or(CodecError::Truncated)?;
     *buf = rest;
     Ok(*head)
+}
+
+/// Splits the next little-endian `u64` off the front of `buf`.
+#[inline]
+fn take_u64(buf: &mut &[u8]) -> Result<u64, CodecError> {
+    let (head, rest) = buf.split_first_chunk::<8>().ok_or(CodecError::Truncated)?;
+    *buf = rest;
+    Ok(u64::from_le_bytes(*head))
 }
 
 /// The little-endian `u16` at byte `at` of a fixed-width record.
@@ -162,10 +276,134 @@ fn u64_at<const N: usize>(rec: &[u8; N], at: usize) -> u64 {
 
 /// Fixed header after the magic: version, cpus, page bytes, name length.
 const HEADER_BYTES: usize = 2 + 2 + 8 + 2;
-/// An access record after its tag: cpu, asid, kind, vaddr, paddr.
+/// A version-1 access record after its tag: cpu, asid, kind, vaddr, paddr.
 const ACCESS_BYTES: usize = 2 + 2 + 1 + 8 + 8;
-/// A context-switch record after its tag: cpu, from, to.
+/// A version-1 context-switch record after its tag: cpu, from, to.
 const SWITCH_BYTES: usize = 2 + 2 + 2;
+
+/// The 16-bit field at bit `at` of a version-2 escape word.
+#[inline]
+fn u16_field(word: u64, at: u32) -> u16 {
+    (word >> at) as u16
+}
+
+/// Decodes one version-1 event: a tag byte, then one fixed-width record
+/// split off with a single length check.
+fn next_v1(buf: &mut &[u8]) -> Result<TraceEvent, CodecError> {
+    let [tag] = take::<1>(buf)?;
+    match tag {
+        TAG_ACCESS => {
+            let rec = take::<ACCESS_BYTES>(buf)?;
+            let kind = kind_from_u8(rec[4]).ok_or(CodecError::Corrupt("access kind"))?;
+            Ok(TraceEvent::Access(MemAccess {
+                cpu: CpuId::new(u16_at(&rec, 0)),
+                asid: Asid::new(u16_at(&rec, 2)),
+                kind,
+                vaddr: VirtAddr::new(u64_at(&rec, 5)),
+                paddr: PhysAddr::new(u64_at(&rec, 13)),
+            }))
+        }
+        TAG_SWITCH => {
+            let rec = take::<SWITCH_BYTES>(buf)?;
+            Ok(TraceEvent::ContextSwitch {
+                cpu: CpuId::new(u16_at(&rec, 0)),
+                from: Asid::new(u16_at(&rec, 2)),
+                to: Asid::new(u16_at(&rec, 4)),
+            })
+        }
+        _ => Err(CodecError::Corrupt("event tag")),
+    }
+}
+
+/// Decodes one version-2 event from a trace of `2^page_bits`-byte pages.
+/// `asids` is the current ASID of each of the first [`FAST_CPUS`] CPUs;
+/// escapes update it.
+#[inline]
+fn next_v2(
+    buf: &mut &[u8],
+    page_bits: u32,
+    asids: &mut [u16; FAST_CPUS],
+) -> Result<TraceEvent, CodecError> {
+    let word = take_u64(buf)?;
+    let Some(kind) = kind_from_u8(word as u8 & 3) else {
+        return next_v2_escape(buf, word, asids);
+    };
+    let cpu = (word >> 2) as usize & (FAST_CPUS - 1);
+    let va = (word >> 8) & 0xffff_ffff;
+    let frame = word >> 40;
+    Ok(TraceEvent::Access(MemAccess {
+        cpu: CpuId::new(cpu as u16),
+        asid: Asid::new(asids[cpu]),
+        kind,
+        vaddr: VirtAddr::new(va),
+        paddr: PhysAddr::new(frame << page_bits | va & page_mask(page_bits)),
+    }))
+}
+
+/// Decodes the rest of a version-2 escape whose header word is `word`.
+#[inline]
+fn next_v2_escape(
+    buf: &mut &[u8],
+    word: u64,
+    asids: &mut [u16; FAST_CPUS],
+) -> Result<TraceEvent, CodecError> {
+    let cpu = u16_field(word, 16);
+    match (word >> 2) & 0x3f {
+        ESC_ACCESS => {
+            if word >> 48 != 0 {
+                return Err(CodecError::Corrupt("reserved bits"));
+            }
+            let kind = kind_from_u8((word >> 8) as u8).ok_or(CodecError::Corrupt("access kind"))?;
+            let asid = u16_field(word, 32);
+            let rec = take::<16>(buf)?;
+            if let Some(slot) = asids.get_mut(usize::from(cpu)) {
+                *slot = asid;
+            }
+            Ok(TraceEvent::Access(MemAccess {
+                cpu: CpuId::new(cpu),
+                asid: Asid::new(asid),
+                kind,
+                vaddr: VirtAddr::new(u64_at(&rec, 0)),
+                paddr: PhysAddr::new(u64_at(&rec, 8)),
+            }))
+        }
+        ESC_SWITCH => {
+            if (word >> 8) & 0xff != 0 {
+                return Err(CodecError::Corrupt("reserved bits"));
+            }
+            let to = u16_field(word, 48);
+            if let Some(slot) = asids.get_mut(usize::from(cpu)) {
+                *slot = to;
+            }
+            Ok(TraceEvent::ContextSwitch {
+                cpu: CpuId::new(cpu),
+                from: Asid::new(u16_field(word, 32)),
+                to: Asid::new(to),
+            })
+        }
+        _ => Err(CodecError::Corrupt("event tag")),
+    }
+}
+
+/// How the events of a buffer are laid out.
+#[derive(Debug, Clone)]
+enum Format {
+    V1,
+    V2 {
+        page_bits: u32,
+        asids: [u16; FAST_CPUS],
+    },
+}
+
+impl Format {
+    /// The fewest bytes one event of this format takes.
+    fn min_event_bytes(&self) -> u64 {
+        match self {
+            Format::V1 => 1 + SWITCH_BYTES as u64,
+            Format::V2 { .. } => 8,
+        }
+    }
+}
 
 /// A streaming decoder: iterates events without materializing the whole
 /// trace, for replaying large stored traces with bounded memory.
@@ -192,6 +430,7 @@ pub struct Decoder<'a> {
     name: String,
     cpus: u16,
     page: PageSize,
+    format: Format,
     remaining: u64,
     failed: bool,
 }
@@ -201,19 +440,29 @@ impl<'a> Decoder<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] for a bad header.
+    /// Returns a [`CodecError`] for a bad header, and
+    /// [`CodecError::Truncated`] when the buffer is too short to hold the
+    /// declared number of events.
     pub fn new(mut buf: &'a [u8]) -> Result<Self, CodecError> {
         if take::<4>(&mut buf)? != *MAGIC {
             return Err(CodecError::BadMagic);
         }
         let header = take::<HEADER_BYTES>(&mut buf)?;
         let version = u16_at(&header, 0);
-        if version != VERSION {
+        if version != VERSION && version != VERSION_1 {
             return Err(CodecError::UnsupportedVersion(version));
         }
         let cpus = u16_at(&header, 2);
         let page =
             PageSize::new(u64_at(&header, 4)).map_err(|_| CodecError::Corrupt("page size"))?;
+        let format = if version == VERSION {
+            Format::V2 {
+                page_bits: page.bits(),
+                asids: [0; FAST_CPUS],
+            }
+        } else {
+            Format::V1
+        };
         let name_len = usize::from(u16_at(&header, 12));
         let (name_bytes, rest) = buf
             .split_at_checked(name_len)
@@ -221,12 +470,13 @@ impl<'a> Decoder<'a> {
         let name =
             String::from_utf8(name_bytes.to_vec()).map_err(|_| CodecError::Corrupt("name"))?;
         buf = rest;
-        let remaining = u64::from_le_bytes(take::<8>(&mut buf)?);
-        // Every event occupies at least 7 bytes, so a count larger than
-        // the remaining buffer is certainly truncated (and must not be
-        // trusted for pre-allocation — a corrupt count would otherwise
-        // request terabytes).
-        if remaining > buf.len() as u64 {
+        let remaining = take_u64(&mut buf)?;
+        // A count whose smallest possible encoding overruns the buffer is
+        // certainly truncated, and must not be trusted for
+        // pre-allocation: a corrupt count would otherwise request many
+        // times the buffer's size.
+        let least = remaining.checked_mul(format.min_event_bytes());
+        if least.is_none_or(|bytes| bytes > buf.len() as u64) {
             return Err(CodecError::Truncated);
         }
         Ok(Decoder {
@@ -234,6 +484,7 @@ impl<'a> Decoder<'a> {
             name,
             cpus,
             page,
+            format,
             remaining,
             failed: false,
         })
@@ -259,31 +510,13 @@ impl<'a> Decoder<'a> {
         self.remaining
     }
 
-    /// Decodes one event: a tag byte, then one fixed-width record split
-    /// off with a single length check.
-    fn next_event(&mut self) -> Result<TraceEvent, CodecError> {
-        let [tag] = take::<1>(&mut self.buf)?;
-        match tag {
-            TAG_ACCESS => {
-                let rec = take::<ACCESS_BYTES>(&mut self.buf)?;
-                let kind = kind_from_u8(rec[4]).ok_or(CodecError::Corrupt("access kind"))?;
-                Ok(TraceEvent::Access(MemAccess {
-                    cpu: CpuId::new(u16_at(&rec, 0)),
-                    asid: Asid::new(u16_at(&rec, 2)),
-                    kind,
-                    vaddr: VirtAddr::new(u64_at(&rec, 5)),
-                    paddr: PhysAddr::new(u64_at(&rec, 13)),
-                }))
-            }
-            TAG_SWITCH => {
-                let rec = take::<SWITCH_BYTES>(&mut self.buf)?;
-                Ok(TraceEvent::ContextSwitch {
-                    cpu: CpuId::new(u16_at(&rec, 0)),
-                    from: Asid::new(u16_at(&rec, 2)),
-                    to: Asid::new(u16_at(&rec, 4)),
-                })
-            }
-            _ => Err(CodecError::Corrupt("event tag")),
+    /// Decodes the next event in the buffer's format. The batch
+    /// [`decode`] and the iterator both go through here.
+    #[inline]
+    fn step(&mut self) -> Result<TraceEvent, CodecError> {
+        match &mut self.format {
+            Format::V1 => next_v1(&mut self.buf),
+            Format::V2 { page_bits, asids } => next_v2(&mut self.buf, *page_bits, asids),
         }
     }
 }
@@ -296,7 +529,7 @@ impl Iterator for Decoder<'_> {
             return None;
         }
         self.remaining -= 1;
-        let r = self.next_event();
+        let r = self.step();
         if r.is_err() {
             self.failed = true;
         }
@@ -324,6 +557,21 @@ mod tests {
             context_switches: 3,
             ..WorkloadConfig::default()
         })
+    }
+
+    fn access(cpu: u16, asid: u16, va: u64, pa: u64) -> TraceEvent {
+        TraceEvent::Access(MemAccess {
+            cpu: CpuId::new(cpu),
+            asid: Asid::new(asid),
+            kind: AccessKind::DataRead,
+            vaddr: VirtAddr::new(va),
+            paddr: PhysAddr::new(pa),
+        })
+    }
+
+    /// Bytes before the first event of an encoding of a trace named `name`.
+    fn header_len(name: &str) -> usize {
+        4 + HEADER_BYTES + name.len() + 8
     }
 
     #[test]
@@ -363,15 +611,103 @@ mod tests {
     }
 
     #[test]
+    fn each_record_takes_its_documented_size() {
+        let cases: [(TraceEvent, usize); 8] = [
+            (access(0, 0, 0x1234, 0x7_f234), 8),
+            (access(63, 0, 0xffff_fff0, 0xf_ffff_fff0), 8),
+            (access(0, 7, 0x1234, 0x7_f234), 24),
+            (access(64, 0, 0x1234, 0x7_f234), 24),
+            (access(0, 0, 1 << 32, 0x7_0000), 24),
+            (access(0, 0, 0x1234, 1 << 36), 24),
+            (access(0, 0, 0x1234, 0x7_f235), 24),
+            (
+                TraceEvent::ContextSwitch {
+                    cpu: CpuId::new(500),
+                    from: Asid::new(1),
+                    to: Asid::new(2),
+                },
+                8,
+            ),
+        ];
+        for (event, size) in cases {
+            let t = Trace::new("", 1, PageSize::SIZE_4K, vec![event]);
+            let bytes = encode(&t);
+            assert_eq!(bytes.len() - header_len(""), size, "{event:?}");
+            assert_eq!(decode(&bytes).unwrap().events(), [event]);
+        }
+    }
+
+    #[test]
+    fn escapes_and_switches_set_the_cpus_asid() {
+        let switch = TraceEvent::ContextSwitch {
+            cpu: CpuId::new(1),
+            from: Asid::new(0),
+            to: Asid::new(9),
+        };
+        let events = vec![
+            access(0, 5, 0x1000, 0x2000),
+            access(0, 5, 0x1004, 0x2004),
+            switch,
+            access(1, 9, 0x1008, 0x3008),
+            access(0, 5, 0x100c, 0x200c),
+        ];
+        let t = Trace::new("", 2, PageSize::SIZE_4K, events);
+        let bytes = encode(&t);
+        assert_eq!(bytes.len() - header_len(""), 24 + 8 + 8 + 8 + 8);
+        assert_eq!(decode(&bytes).unwrap().events(), t.events());
+    }
+
+    #[test]
     fn corrupt_kind_rejected() {
-        let t = small_trace();
+        let t = Trace::new("", 1, PageSize::SIZE_4K, vec![access(0, 7, 0x10, 0x20)]);
         let mut bytes = encode(&t).to_vec();
-        // Find the first access event's kind byte: header is
-        // 4 + 2 + 2 + 8 + 2 + name + 8; then tag(1) cpu(2) asid(2) kind(1).
-        let name_len = t.name().len();
-        let kind_pos = 4 + 2 + 2 + 8 + 2 + name_len + 8 + 1 + 2 + 2;
-        bytes[kind_pos] = 99;
-        assert!(matches!(decode(&bytes), Err(CodecError::Corrupt(_))));
+        // The escape word's second byte is the access kind.
+        bytes[header_len("") + 1] = 99;
+        assert_eq!(decode(&bytes), Err(CodecError::Corrupt("access kind")));
+    }
+
+    #[test]
+    fn reserved_escape_bits_rejected() {
+        let switch = TraceEvent::ContextSwitch {
+            cpu: CpuId::new(0),
+            from: Asid::new(1),
+            to: Asid::new(2),
+        };
+        for (event, byte) in [(access(0, 7, 0x10, 0x20), 7), (switch, 1)] {
+            let t = Trace::new("", 1, PageSize::SIZE_4K, vec![event]);
+            let mut bytes = encode(&t).to_vec();
+            bytes[header_len("") + byte] = 1;
+            assert_eq!(decode(&bytes), Err(CodecError::Corrupt("reserved bits")));
+        }
+    }
+
+    #[test]
+    fn counts_beyond_the_buffer_are_truncations() {
+        // A header declaring `count` events followed by `body` zero bytes.
+        fn with_count(version: u16, count: u64, body: usize) -> Vec<u8> {
+            let mut b = MAGIC.to_vec();
+            b.extend_from_slice(&version.to_le_bytes());
+            b.extend_from_slice(&1u16.to_le_bytes());
+            b.extend_from_slice(&4096u64.to_le_bytes());
+            b.extend_from_slice(&0u16.to_le_bytes());
+            b.extend_from_slice(&count.to_le_bytes());
+            b.resize(b.len() + body, 0);
+            b
+        }
+        // At most one 7-byte v1 event or 8-byte v2 event per 7 or 8 bytes.
+        for (version, least) in [(VERSION_1, 7), (VERSION, 8)] {
+            for count in [65, 100, 1 << 40, u64::MAX / least, u64::MAX] {
+                let bytes = with_count(version, count, 64 * least as usize);
+                assert_eq!(
+                    decode(&bytes),
+                    Err(CodecError::Truncated),
+                    "v{version} {count}"
+                );
+                assert!(Decoder::new(&bytes).is_err(), "v{version} {count}");
+            }
+            let bytes = with_count(version, 64, 64 * least as usize);
+            assert_eq!(Decoder::new(&bytes).unwrap().remaining(), 64);
+        }
     }
 
     #[test]
@@ -399,21 +735,17 @@ mod tests {
 
     #[test]
     fn streaming_decoder_stops_at_first_error() {
-        let t = small_trace();
+        let t = Trace::new(
+            "",
+            1,
+            PageSize::SIZE_4K,
+            vec![access(0, 0, 0x10, 0x10), access(0, 7, 0x10, 0x10)],
+        );
         let mut bytes = encode(&t).to_vec();
-        let cut = bytes.len() - 5;
-        bytes.truncate(cut);
-        // Header parse may still succeed (count > remaining is caught).
-        match Decoder::new(&bytes) {
-            Err(CodecError::Truncated) => {}
-            Ok(d) => {
-                let results: Vec<_> = d.collect();
-                assert!(results.last().unwrap().is_err(), "must surface the cut");
-                // After the first error the iterator fuses.
-                assert!(results.iter().filter(|r| r.is_err()).count() == 1);
-            }
-            Err(e) => panic!("unexpected: {e}"),
-        }
+        // Cut into the escape's payload: the count check in `new` passes.
+        bytes.truncate(bytes.len() - 5);
+        let results: Vec<_> = Decoder::new(&bytes).unwrap().collect();
+        assert_eq!(results, [Ok(t.events()[0]), Err(CodecError::Truncated)]);
     }
 
     #[test]

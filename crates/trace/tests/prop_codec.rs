@@ -1,5 +1,6 @@
 //! Property tests for the binary trace codec: arbitrary event sequences
-//! round-trip, and arbitrary byte soup never panics the decoder.
+//! round-trip, realistic ones take one 8-byte word per reference, and
+//! arbitrary byte soup never panics the decoder.
 
 use proptest::prelude::*;
 use vrcache_mem::access::{AccessKind, CpuId};
@@ -37,7 +38,88 @@ fn event_strategy() -> impl Strategy<Value = TraceEvent> {
     ]
 }
 
+/// The ASID CPU `cpu` runs throughout a realistic trace.
+fn steady_asid(cpu: u16) -> u16 {
+    100 + cpu
+}
+
+/// One reference of a trace translated at trace time, on CPU
+/// `pick % cpus`: a virtual address below 2^32, a frame below 2^24 and
+/// the same page offset on both sides, under the CPU's steady ASID. One
+/// in five is instead made to escape, with a wide virtual address, a wide
+/// frame, a differing offset, or a CPU without a current-ASID slot.
+/// Paired with whether it fits one word.
+fn realistic_access(
+    cpus: u16,
+    (pick, kind, vpn, offset, frame, escape): (u16, u8, u64, u64, u64, u8),
+) -> (TraceEvent, bool) {
+    let mut va = vpn << 12 | offset;
+    let mut pa = frame << 12 | offset;
+    let mut cpu = pick % cpus;
+    match escape {
+        0 => va |= 1 << 40,
+        1 => pa |= 1 << 36,
+        2 => pa ^= 4,
+        3 => cpu += 64,
+        _ => {}
+    }
+    let kind = match kind {
+        0 => AccessKind::InstrFetch,
+        1 => AccessKind::DataRead,
+        _ => AccessKind::DataWrite,
+    };
+    let access = MemAccess {
+        cpu: CpuId::new(cpu),
+        asid: Asid::new(steady_asid(cpu)),
+        kind,
+        vaddr: VirtAddr::new(va),
+        paddr: PhysAddr::new(pa),
+    };
+    (TraceEvent::Access(access), escape > 3)
+}
+
+/// A realistic trace: each CPU is switched to its steady ASID, then runs
+/// [`realistic_access`]es. Paired with its count of one-word accesses.
+fn realistic_trace() -> impl Strategy<Value = (Trace, u64)> {
+    let parts = (
+        any::<u16>(),
+        0u8..3,
+        0u64..1 << 20,
+        0u64..4096,
+        0u64..1 << 24,
+        0u8..20,
+    );
+    (1u16..8, proptest::collection::vec(parts, 0..300)).prop_map(|(cpus, parts)| {
+        let mut events: Vec<TraceEvent> = (0..cpus)
+            .map(|cpu| TraceEvent::ContextSwitch {
+                cpu: CpuId::new(cpu),
+                from: Asid::new(0),
+                to: Asid::new(steady_asid(cpu)),
+            })
+            .collect();
+        let mut words = 0;
+        for p in parts {
+            let (access, fits) = realistic_access(cpus, p);
+            events.push(access);
+            words += u64::from(fits);
+        }
+        (Trace::new("real", cpus, PageSize::SIZE_4K, events), words)
+    })
+}
+
 proptest! {
+    #[test]
+    fn realistic_traces_take_one_word_per_reference((t, words) in realistic_trace()) {
+        let encoded = encode(&t);
+        let back = decode(&encoded).unwrap();
+        prop_assert_eq!(back.events(), t.events());
+        let s = t.summary();
+        let escapes = s.total_refs - words;
+        let header = 4 + 2 + 2 + 8 + 2 + t.name().len() + 8;
+        let expected = 8 * (words + s.context_switches) + 24 * escapes;
+        prop_assert_eq!((encoded.len() - header) as u64, expected);
+    }
+
     #[test]
     fn round_trip_any_events(
         name in "[a-z]{0,12}",

@@ -1,10 +1,16 @@
 //! Byte-golden pin of trace synthesis.
 //!
-//! Each case synthesizes one trace, encodes it with [`codec::encode`] and
-//! pins a 64-bit FNV-1a digest of the bytes, together with the frame count
+//! Each case synthesizes one trace and pins a 64-bit FNV-1a digest of a
+//! canonical serialization of its events, together with the frame count
 //! and process count of the [`GenerationReport`]. Any change to the page
 //! table's first-touch frame order, to the RNG draw order of a process
 //! engine, or to the scheduler's interleaving changes a digest.
+//!
+//! The canonical serialization is the version-1 trace format, written by
+//! the test-local [`v1`] writer, so a change to the library's codec never
+//! moves a digest. What the codec spends is pinned separately: each
+//! case's [`codec::encode`] length is a column of its own, a
+//! deterministic cost proxy that fails when the stored format grows.
 //!
 //! The cases cover the three presets at scale 0.01, the default
 //! [`WorkloadConfig`], and a 16-CPU × 3-process workload whose context
@@ -14,17 +20,20 @@
 //! After an intended change in synthesized traces, the failure message
 //! prints the full table of new values to paste over [`GOLDEN`].
 
+mod v1;
+
 use vrcache_trace::codec;
 use vrcache_trace::presets::TracePreset;
 use vrcache_trace::synth::{generate_with_report, WorkloadConfig};
 
-/// `(case, fnv1a(encode(trace)), frames_allocated, processes)`.
-const GOLDEN: &[(&str, u64, u64, u32)] = &[
-    ("thor@0.01", 0x7ddf938a7d06f083, 123, 8),
-    ("pops@0.01", 0xc0019d39a8b0a012, 155, 8),
-    ("abaqus@0.01", 0xbc39487415316fb1, 138, 6),
-    ("default", 0xdaf8d69c6961af85, 244, 8),
-    ("16x3", 0x72f27db4c1dacb19, 1259, 48),
+/// `(case, fnv1a(v1::encode(trace)), codec::encode(trace).len(),
+/// frames_allocated, processes)`.
+const GOLDEN: &[(&str, u64, usize, u64, u32)] = &[
+    ("thor@0.01", 0x7ddf938a7d06f083, 262734, 123, 8),
+    ("pops@0.01", 0xc0019d39a8b0a012, 262974, 155, 8),
+    ("abaqus@0.01", 0xbc39487415316fb1, 95768, 138, 6),
+    ("default", 0xdaf8d69c6961af85, 800097, 244, 8),
+    ("16x3", 0x72f27db4c1dacb19, 769054, 1259, 48),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -65,20 +74,38 @@ fn cases() -> Vec<(&'static str, WorkloadConfig)> {
 
 #[test]
 fn synthesized_traces_match_the_golden_digests() {
-    let actual: Vec<(&str, u64, u64, u32)> = cases()
+    let actual: Vec<(&str, u64, usize, u64, u32)> = cases()
         .into_iter()
         .map(|(name, cfg)| {
             let (trace, report) = generate_with_report(&cfg);
-            let digest = fnv1a(&codec::encode(&trace));
-            (name, digest, report.frames_allocated, report.processes)
+            let digest = fnv1a(&v1::encode(&trace));
+            let stored = codec::encode(&trace).len();
+            (
+                name,
+                digest,
+                stored,
+                report.frames_allocated,
+                report.processes,
+            )
         })
         .collect();
     if actual != GOLDEN {
         let table: String = actual
             .iter()
-            .map(|(n, d, f, p)| format!("    ({n:?}, {d:#018x}, {f}, {p}),\n"))
+            .map(|(n, d, b, f, p)| format!("    ({n:?}, {d:#018x}, {b}, {f}, {p}),\n"))
             .collect();
         panic!("synthesized traces changed; new GOLDEN table:\n{table}");
+    }
+}
+
+#[test]
+fn every_case_round_trips_through_both_versions() {
+    for (name, cfg) in cases() {
+        let (trace, _) = generate_with_report(&cfg);
+        let from_v1 = codec::decode(&v1::encode(&trace)).expect("v1 decodes");
+        assert_eq!(from_v1, trace, "{name} via v1");
+        let from_v2 = codec::decode(&codec::encode(&trace)).expect("v2 decodes");
+        assert_eq!(from_v2, trace, "{name} via v2");
     }
 }
 
